@@ -16,14 +16,13 @@ from . import __version__
 from .errors import DomainError, Graph6ParseError, LedgerIntegrityError
 from .graph import (
     Graph,
-    contract_removed_edge,
     girth,
     list_pentagons,
     valence_profile,
 )
 from .graph6 import decode_graph6, encode_graph6, to_dot
 from .isomorphism import edge_orbits
-from .coloring import count_colorings, count_decompositions, is_snark
+from .coloring import count_colorings, count_decompositions, is_snark, smoothed_psi
 from .kempe import orthogonal_pairs
 from .analyze import VERIFIERS, certify_snark
 from .ledger import (
@@ -102,17 +101,16 @@ def cmd_count(args) -> int:
 def cmd_psi(args) -> int:
     g = _load_graph(args)
     certified = is_snark(g)
-    reduced, _d1, _d2 = contract_removed_edge(g, args.edge)
-    ned = count_decompositions(reduced)
+    val, ned = smoothed_psi(g, args.edge)
     payload = {
-        "psi": ned // 3 if ned % 3 == 0 else None,
+        "psi": val,
         "reduced_ed": ned,
         "reduced_ec": 6 * ned,
         "edge": args.edge,
         "snark_certified": certified,
     }
     note = "" if certified else "  (formula extension: input is not a certified snark)"
-    if payload["psi"] is None:
+    if val is None:
         # only possible off the certified domain, where the one-third
         # divisibility is not guaranteed
         _emit(
@@ -122,7 +120,7 @@ def cmd_psi(args) -> int:
             payload,
         )
     else:
-        _emit(args, f"psi = {payload['psi']}{note}", payload)
+        _emit(args, f"psi = {val}{note}", payload)
     return PASS
 
 

@@ -1,11 +1,15 @@
 """Edge-3-coloring enumeration and counting, decomposition counts, the
 pendant-edge parity residual, and the psi number of a snark edge.
 
-Colors are the three nonzero Klein-group elements (see klein.py).  The
-counting and enumeration paths share one propagation kernel: edges are
-ordered depth-first from a trivalent root so that every edge after the
-first touches an already-colored vertex, which turns the two-colored
-vertex constraint into forced moves.
+Colors are the three nonzero Klein-group elements (see klein.py).  Every
+count (colorings, decompositions, psi) goes through one frontier DP: it
+places the vertices in an elimination order and keeps, for each coloring
+of the edges crossing the cut, how many partial colorings reach it, in
+the style of Sekine-Imai-Tani frontier counting.  The order is searched
+once per graph value, and a smoothed graph inherits its host's order.
+Explicit colorings are enumerated by a depth-first search instead, its
+edges ordered from a trivalent root so that every edge after the first
+touches an already-colored vertex.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class EdgeColoring:
         return cls(graph, tuple(assign[i] for i in range(graph.m)))
 
 
-# -- propagation kernel -------------------------------------------------
+# -- enumeration and counting kernels ------------------------------------
 
 
 def _check_colorable_shape(g: Graph, require_connected: bool = True):
@@ -119,10 +123,9 @@ def _search_colorings(
     g: Graph,
     fixed: Optional[dict[int, int]] = None,
     root: Optional[int] = None,
-    node_budget: Optional[int] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every proper total coloring extending ``fixed``, as a tuple of
-    colors indexed by edge.  Shared by the counting and enumeration paths."""
+    colors indexed by edge."""
     m = g.m
     assign = [0] * m
     mask = [0] * g.n
@@ -137,16 +140,11 @@ def _search_colorings(
             assign[i] = c
     order = [i for i in _propagation_order(g, root) if not fixed or i not in fixed]
     edges = g.edges
-    nodes = 0
 
     def rec(k: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
         if k == len(order):
             yield tuple(assign)
             return
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(f"coloring search exceeded {node_budget} nodes")
         i = order[k]
         u, v = edges[i]
         forb = mask[u] | mask[v]
@@ -165,50 +163,127 @@ def _search_colorings(
     yield from rec(0)
 
 
-def _count_search(
+def _greedy_order(
+    g: Graph, start: int, by_age: bool, bound: float
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """One greedy vertex order from ``start``: always place an unplaced
+    vertex with the most placed neighbours, ties going to the oldest
+    frontier edge (``by_age``) or else to the smaller label.  Returns
+    (sum of 3^|frontier| over the steps, order), or None once the sum
+    reaches ``bound``."""
+    placed = [False] * g.n
+    seen = [0] * g.n  # placed neighbours of each unplaced vertex
+    first = [0] * g.n  # step at which its oldest frontier edge appeared
+    cands: set[int] = set()
+    order: list[int] = []
+    width = cost = 0
+    key = (lambda w: (-seen[w], first[w], w)) if by_age else (lambda w: (-seen[w], w))
+    v = start
+    for step in range(g.n):
+        order.append(v)
+        placed[v] = True
+        cands.discard(v)
+        width += g.valence(v) - 2 * seen[v]
+        cost += 3**width
+        if cost >= bound:
+            return None
+        for w in g.neighbors(v):
+            if not placed[w]:
+                if not seen[w]:
+                    first[w] = step
+                    cands.add(w)
+                seen[w] += 1
+        if cands:
+            v = min(cands, key=key)
+    return cost, tuple(order)
+
+
+def _elimination_order(g: Graph) -> tuple[int, ...]:
+    """Vertex order for the frontier DP, computed once per graph value.
+
+    Greedy orders from every start vertex under both tie rules; the one
+    with the smallest sum of 3^|frontier| wins, which keeps the DP's
+    state count low whatever the vertex labels are."""
+    # getattr, not g.__dict__: reading __dict__ materializes it, which
+    # slows every later attribute read on the graph (CPython 3.11)
+    order = getattr(g, "_elimination_order", None)
+    if order is None:
+        best = (float("inf"), ())
+        for start in range(g.n):
+            for by_age in (True, False):
+                best = _greedy_order(g, start, by_age, best[0]) or best
+        order = best[1]
+        object.__setattr__(g, "_elimination_order", order)
+    return order
+
+
+def _count_frontier(
     g: Graph,
     fixed: Optional[dict[int, int]] = None,
-    root: Optional[int] = None,
     node_budget: Optional[int] = None,
 ) -> int:
-    """Count what _search_colorings would yield, without materializing."""
-    m = g.m
-    mask = [0] * g.n
-    if fixed:
-        for i, c in fixed.items():
-            u, v = g.edges[i]
-            bit = 1 << c
-            if (mask[u] | mask[v]) & bit:
-                return 0
-            mask[u] |= bit
-            mask[v] |= bit
-    order = [i for i in _propagation_order(g, root) if not fixed or i not in fixed]
-    edges = g.edges
-    last = len(order)
-    nodes = 0
+    """Number of proper total colorings extending ``fixed``.
 
-    def rec(k: int) -> int:
-        nonlocal nodes
-        if k == last:
-            return 1
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceededError(f"coloring search exceeded {node_budget} nodes")
-        u, v = edges[order[k]]
-        forb = mask[u] | mask[v]
-        total = 0
-        for c in (1, 2, 3):
-            bit = 1 << c
-            if forb & bit:
-                continue
-            mask[u] |= bit
-            mask[v] |= bit
-            total += rec(k + 1)
-            mask[u] &= ~bit
-            mask[v] &= ~bit
-        return total
-
-    return rec(0)
+    Vertices are placed in elimination order.  A state is the colors on
+    the frontier edges (one endpoint placed), packed two bits per slot
+    into an int, mapped to how many partial colorings reach it.  Placing
+    a vertex drops states whose known incident colors clash, retires
+    those edges and extends its new edges over the free colors (or their
+    pins).  ``node_budget`` caps the number of states generated."""
+    fixed = fixed or {}
+    placed = [False] * g.n
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    states = {0: 1}
+    generated = 0
+    for v in _elimination_order(g):
+        placed[v] = True
+        known: list[int] = []
+        new: list[tuple[int, int]] = []
+        for i in g.incident_edges(v):
+            a, b = g.edges[i]
+            if placed[a] and placed[b]:
+                known.append(2 * slot[i])
+                free.append(slot.pop(i))
+            else:
+                slot[i] = free.pop() if free else len(slot) + len(free)
+                new.append((i, 2 * slot[i]))
+        clear = ~sum(3 << sh for sh in known)
+        # extend[used]: every packing of colors onto the new edges that
+        # avoids the color bits in ``used`` (bits 1-3) and honours the pins
+        extend = {}
+        for used in range(0, 16, 2):
+            combos = [(0, used)]
+            for i, sh in new:
+                combos = [
+                    (add | c << sh, u | 1 << c)
+                    for add, u in combos
+                    for c in ((fixed[i],) if i in fixed else COLORS)
+                    if not u >> c & 1
+                ]
+            extend[used] = [add for add, _ in combos]
+        nxt: dict[int, int] = {}
+        for s, n_s in states.items():
+            used = 0
+            for sh in known:
+                bit = 1 << ((s >> sh) & 3)
+                if used & bit:
+                    break
+                used |= bit
+            else:
+                base = s & clear
+                for add in extend[used]:
+                    t = base | add
+                    nxt[t] = nxt.get(t, 0) + n_s
+        states = nxt
+        generated += len(states)
+        if node_budget is not None and generated > node_budget:
+            raise BudgetExceededError(
+                f"coloring count exceeded {node_budget} DP states"
+            )
+        if not states:
+            return 0
+    return states.get(0, 0)
 
 
 # -- public counting API -------------------------------------------------
@@ -218,7 +293,7 @@ def count_colorings(g: Graph, node_budget: Optional[int] = None) -> int:
     """Exact number of proper edge-3-colorings of a connected graph with
     maximum valence 3."""
     _check_colorable_shape(g)
-    return _count_search(g, node_budget=node_budget)
+    return _count_frontier(g, node_budget=node_budget)
 
 
 def enumerate_colorings(g: Graph) -> Iterator[EdgeColoring]:
@@ -247,8 +322,7 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    fixed, pivot = _decomposition_fixing(g)
-    return _count_search(g, fixed=fixed, root=pivot, node_budget=node_budget)
+    return _count_frontier(g, _decomposition_fixing(g)[0], node_budget)
 
 
 def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
@@ -297,6 +371,43 @@ def is_snark(g: Graph) -> bool:
     return count_colorings(g) == 0
 
 
+def smoothed_psi(
+    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
+) -> tuple[Optional[int], int]:
+    """Remove e, smooth its endpoints away and count the decompositions of
+    the smaller graph: (psi, that count), with psi None when the count is
+    not a multiple of 3, which only happens off the snark domain.
+
+    The smaller graph inherits g's elimination order, minus e's endpoints
+    and renumbered as delete_vertices does, so the order is searched once
+    per host rather than once per edge."""
+    ref = resolve_edge(g, e)
+    reduced, _d1, _d2 = contract_removed_edge(g, ref)
+    u, v = ref.pair
+    inherited = tuple(
+        w - (w > u) - (w > v) for w in _elimination_order(g) if w != u and w != v
+    )
+    object.__setattr__(reduced, "_elimination_order", inherited)
+    ned = count_decompositions(reduced, node_budget=node_budget)
+    return (None if ned % 3 else ned // 3), ned
+
+
+def psi_with_counts(
+    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
+) -> tuple[int, int, int]:
+    """(psi, |ED| of reduced graph, |EC| of reduced graph); the coloring
+    count comes from the decomposition count via the 6x correspondence.
+
+    The divisibility by 3 is guaranteed for snarks and its failure raises
+    CountContradictionError, never returns a wrong value."""
+    val, ned = smoothed_psi(g, e, node_budget)
+    if val is None:
+        raise CountContradictionError(
+            f"decomposition count {ned} of the reduced graph is not a multiple of 3"
+        )
+    return val, ned, 6 * ned
+
+
 def psi(
     g: Graph,
     e: EdgeLike,
@@ -306,32 +417,7 @@ def psi(
     """The psi number of (g, e): one third of the decomposition count of
     the graph obtained by removing e and smoothing its endpoints away.
 
-    The host must be a snark (caller-asserted unless ``strict``); the
-    divisibility by 3 is guaranteed for snarks and its failure raises
-    CountContradictionError, never returns a wrong value.
-    """
-    ref = resolve_edge(g, e)
+    The host must be a snark (caller-asserted unless ``strict``)."""
     if strict and not is_snark(g):
         raise DomainError("strict mode: graph failed snark certification")
-    reduced, _d1, _d2 = contract_removed_edge(g, ref)
-    ned = count_decompositions(reduced, node_budget=node_budget)
-    if ned % 3:
-        raise CountContradictionError(
-            f"decomposition count {ned} of the reduced graph is not a multiple of 3"
-        )
-    return ned // 3
-
-
-def psi_with_counts(
-    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
-) -> tuple[int, int, int]:
-    """(psi, |ED| of reduced graph, |EC| of reduced graph); the coloring
-    count comes from the decomposition count via the 6x correspondence."""
-    ref = resolve_edge(g, e)
-    reduced, _d1, _d2 = contract_removed_edge(g, ref)
-    ned = count_decompositions(reduced, node_budget=node_budget)
-    if ned % 3:
-        raise CountContradictionError(
-            f"decomposition count {ned} of the reduced graph is not a multiple of 3"
-        )
-    return ned // 3, ned, 6 * ned
+    return psi_with_counts(g, e, node_budget)[0]

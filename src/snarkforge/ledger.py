@@ -34,7 +34,8 @@ from .recipe import evaluate_text, format_recipe, parse_recipe
 @dataclass(frozen=True)
 class PsiRecord:
     """One verified psi value: the recipe that builds the graph, the graph
-    itself (graph6), an orbit-representative edge, and the raw counts."""
+    itself (graph6), an orbit-representative edge, and the raw counts.
+    ``wall_time`` is the seconds spent computing this record's psi."""
 
     recipe: str
     graph6: str
@@ -172,7 +173,6 @@ def evaluate_recipe_records(
     g = evaluate_text(canonical)
     if g.m > budget.max_edges:
         return [TruncationRecord(canonical, f"edge count {g.m} over budget")]
-    t0 = time.perf_counter()
     cert = certify_snark(g, certification_level)
     g6 = encode_graph6(g)
     pentagon_edges = {
@@ -182,6 +182,7 @@ def evaluate_recipe_records(
     try:
         for orbit in edge_orbits(g):
             rep = orbit[0]
+            t0 = time.perf_counter()
             psi_val, _ned, ec = psi_with_counts(g, rep, node_budget=budget.max_nodes)
             tags = ("pentagon",) if rep in pentagon_edges else ()
             out.append(

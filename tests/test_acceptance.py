@@ -4,12 +4,9 @@ to see the lines; every check is exact integer equality, and the timing
 bounds are asserted where a criterion states one.
 """
 
-import os
 import random
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from snarkforge.graph import (
     contract_removed_edge,
@@ -183,10 +180,6 @@ def test_criterion_7_superposition_chain():
                 assert ec == 18 * 2**j
 
 
-@pytest.mark.skipif(
-    os.environ.get("SNARKFORGE_J3") != "1",
-    reason="j=3 chain instance is budget-gated; set SNARKFORGE_J3=1 to run",
-)
 def test_criterion_7_optional_j3():
     with criterion(7, "superposition chain depth 3 (optional)"):
         g, inner_refs = chain_graphs(3)

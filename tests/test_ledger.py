@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,14 @@ class TestRecipeEvaluation:
         # data the search exists to collect
         entries = evaluate_recipe_records("(flower 7)")
         assert sorted(e.psi for e in entries) == [10, 11, 21, 22]
+
+    def test_wall_time_is_per_record(self):
+        # a clock running across records would count earlier records again
+        # and sum to more than the whole call
+        t0 = time.perf_counter()
+        entries = evaluate_recipe_records("(flower 7)")
+        elapsed = time.perf_counter() - t0
+        assert sum(e.wall_time for e in entries) <= elapsed
 
     def test_oversized_recipe_truncates(self):
         entries = evaluate_recipe_records(
