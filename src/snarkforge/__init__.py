@@ -37,7 +37,6 @@ from .coloring import (
     count_decompositions,
     enumerate_colorings,
     enumerate_decompositions,
-    is_snark,
     parity_residual,
     psi,
     psi_with_counts,
@@ -68,6 +67,7 @@ from .analyze import (
     TheoremReport,
     certify_snark,
     condition_k,
+    is_snark,
     verify_thm_3_3,
     verify_thm_3_7,
     verify_thm_4_5,

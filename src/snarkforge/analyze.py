@@ -34,7 +34,7 @@ from .coloring import (
 )
 from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
 from .isomorphism import edge_orbits
-from .kempe import are_orthogonal, color_pair_counts, orthogonal_pairs  # noqa: F401
+from .kempe import are_orthogonal, color_pair_counts
 from .klein import COLORS
 
 
@@ -76,6 +76,12 @@ def certify_snark(g: Graph, level: int = 4) -> SnarkCertificate:
     except CyclicConnectivityUndefinedError:
         conn_ok = False
     return SnarkCertificate(gv, girth_ok, level, conn_ok, count_colorings(g))
+
+
+def is_snark(g: Graph) -> bool:
+    """Certification predicate: a connected cubic graph that passes
+    certify_snark at level 4."""
+    return is_cubic(g) and g.is_connected() and certify_snark(g).passed
 
 
 @dataclass(frozen=True)
@@ -345,13 +351,11 @@ def condition_k(g: Graph, e: EdgeLike) -> bool:
     The host must be cubic, cyclically 4-edge-connected, with girth at
     least 5; its colorability is deliberately not assumed.
     """
-    if not is_cubic(g) or not g.is_connected():
-        raise DomainError("Condition K expects a connected cubic graph")
-    gv = girth(g)
-    if gv is None or gv < 5:
-        raise DomainError("Condition K expects girth at least 5")
-    if not cyclically_edge_connected_at_least(g, 4):
-        raise DomainError("Condition K expects cyclic 4-edge-connectivity")
+    cert = certify_snark(g)
+    if not (cert.girth_ok and cert.connectivity_ok):
+        raise DomainError(
+            "Condition K expects girth at least 5 and cyclic 4-edge-connectivity"
+        )
     reduced, d1, d2 = contract_removed_edge(g, e)
     if count_colorings(reduced) == 0:
         return False

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, is_snark
 from .errors import DomainError, Graph6ParseError, LedgerIntegrityError
 from .graph import (
     Graph,
@@ -22,7 +22,7 @@ from .graph import (
 )
 from .graph6 import decode_graph6, encode_graph6, to_dot
 from .isomorphism import edge_orbits
-from .coloring import count_colorings, count_decompositions, is_snark, smoothed_psi
+from .coloring import count_colorings, count_decompositions, smoothed_psi
 from .kempe import orthogonal_pairs
 from .analyze import VERIFIERS, certify_snark
 from .ledger import (
@@ -33,7 +33,14 @@ from .ledger import (
     search,
     superpose_chain_family,
 )
-from .recipe import evaluate_text, format_recipe, parse_recipe
+from .recipe import (
+    evaluate,
+    evaluate_text,
+    format_recipe,
+    join_arguments,
+    parse_recipe,
+    pentagon_at,
+)
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -167,7 +174,7 @@ def cmd_verify(args) -> int:
             f"unknown theorem id {args.theorem!r}; known: {sorted(VERIFIERS)}"
         )
     rec = parse_recipe(args.recipe)
-    g = evaluate_text(args.recipe)
+    g = evaluate(rec)
     reports = []
     if args.theorem in ("3.3", "3.7"):
         verifier = VERIFIERS[args.theorem]
@@ -180,37 +187,14 @@ def cmd_verify(args) -> int:
         pents = list_pentagons(g)
         if not pents:
             raise DomainError("graph has no pentagon")
-        chosen = pents if args.pentagon is None else [pents[args.pentagon]]
+        chosen = pents if args.pentagon is None else [pentagon_at(g, args.pentagon)]
         for p in chosen:
             reports.append(VERIFIERS["4.5"](g, p))
-    elif args.theorem == "4.8":
-        if rec.op != "pentagonjoin":
-            raise DomainError("--theorem 4.8 needs a (pentagonjoin ...) recipe")
-        from .recipe import evaluate as _eval
-
-        left, right = (_eval(c) for c in rec.children)
-        pi, pj = (int(v) for k, v in rec.params if k == "p")
-        rot = int(rec.param("rot", "0"))
-        reports.append(
-            VERIFIERS["4.8"](
-                left, list_pentagons(left)[pi], right, list_pentagons(right)[pj], rot
-            )
-        )
-    elif args.theorem == "5.3":
-        if rec.op != "superpose52":
-            raise DomainError("--theorem 5.3 needs a (superpose52 ...) recipe")
-        from .recipe import evaluate as _eval
-
-        left, right = (_eval(c) for c in rec.children)
-        reports.append(
-            VERIFIERS["5.3"](
-                left,
-                int(rec.param("e")),
-                right,
-                int(rec.param("u")),
-                int(rec.param("v")),
-            )
-        )
+    else:
+        op = {"4.8": "pentagonjoin", "5.3": "superpose52"}[args.theorem]
+        if rec.op != op:
+            raise DomainError(f"--theorem {args.theorem} needs a ({op} ...) recipe")
+        reports.append(VERIFIERS[args.theorem](*join_arguments(rec)))
     all_pass = all(r.passed for r in reports)
     if args.json:
         print(

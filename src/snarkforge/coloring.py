@@ -22,9 +22,6 @@ from .graph import (
     EdgeLike,
     Graph,
     contract_removed_edge,
-    cyclically_edge_connected_at_least,
-    girth,
-    is_cubic,
     is_quasi_cubic,
     pendant_edges,
     resolve_edge,
@@ -358,19 +355,6 @@ def parity_residual(g: Graph, coloring: EdgeColoring) -> int:
 # -- psi -------------------------------------------------------------------
 
 
-def is_snark(g: Graph) -> bool:
-    """Certification predicate: simple cubic, girth >= 5, cyclically
-    4-edge-connected, and uncolorable."""
-    if not (g.is_connected() and is_cubic(g)):
-        return False
-    gv = girth(g)
-    if gv is None or gv < 5:
-        return False
-    if not cyclically_edge_connected_at_least(g, 4):
-        return False
-    return count_colorings(g) == 0
-
-
 def smoothed_psi(
     g: Graph, e: EdgeLike, node_budget: Optional[int] = None
 ) -> tuple[Optional[int], int]:
@@ -408,16 +392,10 @@ def psi_with_counts(
     return val, ned, 6 * ned
 
 
-def psi(
-    g: Graph,
-    e: EdgeLike,
-    strict: bool = False,
-    node_budget: Optional[int] = None,
-) -> int:
+def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
     """The psi number of (g, e): one third of the decomposition count of
     the graph obtained by removing e and smoothing its endpoints away.
 
-    The host must be a snark (caller-asserted unless ``strict``)."""
-    if strict and not is_snark(g):
-        raise DomainError("strict mode: graph failed snark certification")
+    The host must be a snark; the caller asserts it (see
+    analyze.certify_snark)."""
     return psi_with_counts(g, e, node_budget)[0]

@@ -24,7 +24,6 @@ from .graph import (
     delete_vertices,
     girth,
     is_cubic,
-    list_pentagons,
     resolve_edge,
 )
 
@@ -118,18 +117,17 @@ class JoinResult:
 
     def map_star_edge(self, gs: Graph, e: EdgeLike) -> EdgeRef:
         """The result-graph edge corresponding to a second-factor edge."""
-        a, b = resolve_edge(gs, e).pair
-        if a not in self.star_map or b not in self.star_map:
-            raise DomainError(f"edge ({a},{b}) did not survive the construction")
-        g = self.graph
-        return g.edge_ref(g.edge_index(self.star_map[a], self.star_map[b]))
+        return self._map_edge(self.star_map, gs, e)
 
     def map_prime_edge(self, gp: Graph, e: EdgeLike) -> EdgeRef:
-        a, b = resolve_edge(gp, e).pair
-        if a not in self.prime_map or b not in self.prime_map:
+        """The result-graph edge corresponding to a first-factor edge."""
+        return self._map_edge(self.prime_map, gp, e)
+
+    def _map_edge(self, vmap: dict[int, int], factor: Graph, e: EdgeLike) -> EdgeRef:
+        a, b = resolve_edge(factor, e).pair
+        if a not in vmap or b not in vmap:
             raise DomainError(f"edge ({a},{b}) did not survive the construction")
-        g = self.graph
-        return g.edge_ref(g.edge_index(self.prime_map[a], self.prime_map[b]))
+        return self.graph.edge_ref(self.graph.edge_index(vmap[a], vmap[b]))
 
 
 def _outer_neighbor(g: Graph, vertex: int, ring: set[int]) -> int:
@@ -267,10 +265,6 @@ def dot_product(
     ]
     edges += joins
     graph = Graph.from_edges(off + g2_cut.n, edges)
-    conn = tuple(sorted(graph.edge_index(*_sorted(pq)) for pq in joins))
+    conn = tuple(sorted(graph.edge_index(*pq) for pq in joins))
     return JoinResult(graph, prime_map, star_map, conn)
 
-
-def _sorted(pq: tuple[int, int]) -> tuple[int, int]:
-    p, q = pq
-    return (p, q) if p < q else (q, p)

@@ -336,25 +336,6 @@ def list_pentagons(g: Graph) -> list[Cycle]:
     return find_cycles(g, 5)
 
 
-def _has_cycle_in_component(n_comp: int, m_comp: int) -> bool:
-    # A connected component has a cycle iff it has at least as many edges
-    # as vertices.
-    return m_comp >= n_comp
-
-
-def has_two_disjoint_cycles(g: Graph) -> bool:
-    """True iff g contains two vertex-disjoint cycles."""
-    gv = girth(g)
-    if gv is None:
-        return False
-    for length in range(gv, g.n + 1):
-        for cyc in find_cycles(g, length):
-            rest, _ = delete_vertices(g, set(cyc.vertices)) if len(cyc) < g.n else (None, None)
-            if rest is not None and girth(rest) is not None:
-                return True
-    return False
-
-
 def is_hamiltonian(g: Graph) -> bool:
     """True iff some cycle visits every vertex exactly once (backtracking).
 
@@ -406,22 +387,23 @@ def is_hamiltonian(g: Graph) -> bool:
 # -- cyclic edge connectivity ------------------------------------------
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _violating_cut(g: Graph, removed: Sequence[bool]) -> bool:
     """Does removing the flagged edges leave two components that each
     contain a cycle?"""
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     merges = 0
     for i, (u, v) in enumerate(g.edges):
         if removed[i]:
             continue
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             merges += 1
@@ -430,10 +412,10 @@ def _violating_cut(g: Graph, removed: Sequence[bool]) -> bool:
     nverts = [0] * g.n
     medges = [0] * g.n
     for v in range(g.n):
-        nverts[find(v)] += 1
+        nverts[_find(parent, v)] += 1
     for i, (u, v) in enumerate(g.edges):
         if not removed[i]:
-            medges[find(u)] += 1
+            medges[_find(parent, u)] += 1
     cyclic = sum(
         1 for r in range(g.n) if nverts[r] and medges[r] >= nverts[r]
     )
@@ -441,20 +423,23 @@ def _violating_cut(g: Graph, removed: Sequence[bool]) -> bool:
 
 
 def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
-    """True iff no set S of at most n-1 edges separates the graph into two
-    parts that both contain a cycle.
+    """True iff no set S of at most n-1 edges separates the cubic graph g
+    into two parts that both contain a cycle.
 
-    Candidate sets are enumerated exhaustively.  For hosts of maximum
-    valence 3 the candidates can be restricted to matchings: if S is a
-    smallest violating set it is an edge cut delta(A), and any vertex with
-    two cut edges could be moved across the cut to produce a strictly
-    smaller violating set (its side keeps its cycle, since at most one of
-    the vertex's edges stays inside).  So some smallest violating set has
-    no two edges sharing a vertex.
+    Defined for cubic graphs only.  By Lovasz's 1965 characterization the
+    only simple cubic graphs without two vertex-disjoint cycles are K4 and
+    K3,3, where the question is undefined.  Candidate sets are restricted
+    to matchings: if S is a smallest violating set it is an edge cut
+    delta(A), and any vertex with two cut edges could be moved across the
+    cut to produce a strictly smaller violating set (its side keeps its
+    cycle, since at most one of the vertex's edges stays inside).  So some
+    smallest violating set has no two edges sharing a vertex.
     """
     if n < 2:
         raise DomainError("connectivity level must be at least 2")
-    if not has_two_disjoint_cycles(g):
+    if not is_cubic(g):
+        raise DomainError("cyclic edge connectivity is computed for cubic graphs only")
+    if g.n == 4 or (g.n == 6 and girth(g) == 4):
         raise CyclicConnectivityUndefinedError(
             "graph has no pair of disjoint cycles"
         )
@@ -462,38 +447,24 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     removed = [False] * g.m
     if _violating_cut(g, removed):
         return False
-    max_val = max(g.valence(v) for v in range(g.n))
-    if max_val <= 3:
-        used = [False] * g.n
-        depth = 0
+    used = [False] * g.n
+    depth = 0
 
-        def rec(start: int) -> bool:
-            nonlocal depth
-            for i in range(start, g.m):
-                u, v = g.edges[i]
-                if used[u] or used[v]:
-                    continue
-                removed[i] = True
-                used[u] = used[v] = True
-                depth += 1
-                hit = _violating_cut(g, removed) or (depth < limit and rec(i + 1))
-                depth -= 1
-                removed[i] = False
-                used[u] = used[v] = False
-                if hit:
-                    return True
-            return False
+    def rec(start: int) -> bool:
+        nonlocal depth
+        for i in range(start, g.m):
+            u, v = g.edges[i]
+            if used[u] or used[v]:
+                continue
+            removed[i] = True
+            used[u] = used[v] = True
+            depth += 1
+            hit = _violating_cut(g, removed) or (depth < limit and rec(i + 1))
+            depth -= 1
+            removed[i] = False
+            used[u] = used[v] = False
+            if hit:
+                return True
+        return False
 
-        return not rec(0)
-    from itertools import combinations
-
-    for k in range(1, limit + 1):
-        for s in combinations(range(g.m), k):
-            for i in s:
-                removed[i] = True
-            bad = _violating_cut(g, removed)
-            for i in s:
-                removed[i] = False
-            if bad:
-                return False
-    return True
+    return not rec(0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graph import Graph
+from .graph import Graph, _find
 
 
 def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
@@ -121,46 +121,35 @@ def automorphisms(g: Graph) -> list[list[int]]:
     return list(_match(g, g, find_all=True))
 
 
-def edge_orbits(g: Graph) -> list[list[int]]:
-    """Partition of edge indexes into automorphism orbits, each orbit
-    sorted, orbits ordered by least member."""
-    parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(g):
-        for i, (u, v) in enumerate(g.edges):
-            j = g.edge_index(perm[u], perm[v])
-            ri, rj = find(i), find(j)
+def _orbit_partition(size: int, images) -> list[list[int]]:
+    """Classes of 0..size-1 under the maps in ``images`` (each a list
+    sending i to its image), each class sorted, classes ordered by least
+    member."""
+    parent = list(range(size))
+    for image in images:
+        for i in range(size):
+            ri, rj = _find(parent, i), _find(parent, image[i])
             if ri != rj:
                 parent[ri] = rj
     groups: dict[int, list[int]] = {}
-    for i in range(g.m):
-        groups.setdefault(find(i), []).append(i)
+    for i in range(size):
+        groups.setdefault(_find(parent, i), []).append(i)
     return sorted((sorted(v) for v in groups.values()), key=lambda o: o[0])
+
+
+def edge_orbits(g: Graph) -> list[list[int]]:
+    """Partition of edge indexes into automorphism orbits, each orbit
+    sorted, orbits ordered by least member."""
+    return _orbit_partition(
+        g.m,
+        (
+            [g.edge_index(perm[u], perm[v]) for u, v in g.edges]
+            for perm in automorphisms(g)
+        ),
+    )
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
     """Automorphism orbits on vertices, same ordering conventions as
     edge_orbits."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(g):
-        for v in range(g.n):
-            rv, rp = find(v), find(perm[v])
-            if rv != rp:
-                parent[rv] = rp
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((sorted(v) for v in groups.values()), key=lambda o: o[0])
+    return _orbit_partition(g.n, automorphisms(g))

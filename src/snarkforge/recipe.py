@@ -18,12 +18,13 @@ deterministic: one recipe always reproduces the identical labeled graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Graph, list_pentagons
+from .graph import Cycle, Graph, list_pentagons
 from .graph6 import decode_graph6
-from .construct import JoinResult, dot_product, flower, pentagon_join, petersen, superpose_52
+from .construct import dot_product, flower, pentagon_join, petersen, superpose_52
 
 
 @dataclass(frozen=True)
@@ -174,55 +175,70 @@ def format_recipe(r: Recipe) -> str:
     return "(" + " ".join(parts) + ")"
 
 
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _integer(r: Recipe, key: str, text: str) -> int:
+    """A recipe integer.  Only canonical decimal is accepted, so that one
+    integer has one spelling and one graph one recipe text."""
+    if not _INTEGER.fullmatch(text):
+        raise DomainError(f"{r.op!r} parameter {key}={text!r} is not an integer")
+    return int(text)
+
+
+def _int_param(r: Recipe, key: str, default: str | None = None) -> int:
+    return _integer(r, key, r.param(key, default))
+
+
 def _pentagon_params(r: Recipe) -> tuple[int, int]:
     # pentagonjoin carries two p= entries, in child order.
-    ps = [int(v) for k, v in r.params if k == "p"]
+    ps = [_integer(r, k, v) for k, v in r.params if k == "p"]
     if len(ps) != 2:
         raise DomainError("pentagonjoin needs p= for both sides")
     return ps[0], ps[1]
 
 
-def evaluate_detailed(r: Recipe) -> tuple[Graph, JoinResult | None]:
-    """Evaluate a recipe; for join-type nodes also return the JoinResult
-    with its block maps."""
-    if r.op == "petersen":
-        return petersen(), None
-    if r.op == "flower":
-        return flower(int(r.param("n"))), None
-    if r.op == "graph6":
-        return decode_graph6(r.param("s")), None
-    left = evaluate(r.children[0])
-    right = evaluate(r.children[1])
+def pentagon_at(g: Graph, i: int) -> Cycle:
+    """Entry i of g's canonical pentagon list; negative indexes are
+    rejected rather than counted from the end."""
+    pents = list_pentagons(g)
+    if not 0 <= i < len(pents):
+        raise DomainError(f"pentagon index {i} out of range: graph has {len(pents)}")
+    return pents[i]
+
+
+def join_arguments(r: Recipe) -> tuple:
+    """The evaluated arguments of a two-child recipe node, in the order
+    its construction (and the matching identity verifier) takes them."""
+    left, right = (evaluate(c) for c in r.children)
     if r.op == "pentagonjoin":
         i, j = _pentagon_params(r)
-        pents_l, pents_r = list_pentagons(left), list_pentagons(right)
-        try:
-            pl, pr = pents_l[i], pents_r[j]
-        except IndexError:
-            raise DomainError("pentagon index out of range") from None
-        res = pentagon_join(left, pl, right, pr, int(r.param("rot", "0")))
-        return res.graph, res
+        return (
+            left, pentagon_at(left, i), right, pentagon_at(right, j),
+            _int_param(r, "rot", "0"),
+        )
     if r.op == "superpose52":
-        res = superpose_52(
-            left, int(r.param("e")), right, int(r.param("u")), int(r.param("v"))
-        )
-        return res.graph, res
-    if r.op == "dotproduct":
-        res = dot_product(
-            left,
-            int(r.param("e1")),
-            int(r.param("e2")),
-            right,
-            int(r.param("x")),
-            int(r.param("y")),
-            r.param("wiring", "parallel"),
-        )
-        return res.graph, res
-    raise DomainError(f"unknown recipe operator {r.op!r}")
+        return left, _int_param(r, "e"), right, _int_param(r, "u"), _int_param(r, "v")
+    return (
+        left, _int_param(r, "e1"), _int_param(r, "e2"),
+        right, _int_param(r, "x"), _int_param(r, "y"),
+        r.param("wiring", "parallel"),
+    )
+
+
+_JOINS = {"pentagonjoin": pentagon_join, "superpose52": superpose_52, "dotproduct": dot_product}
 
 
 def evaluate(r: Recipe) -> Graph:
-    return evaluate_detailed(r)[0]
+    if r.op == "petersen":
+        return petersen()
+    if r.op == "flower":
+        return flower(_int_param(r, "n"))
+    if r.op == "graph6":
+        return decode_graph6(r.param("s"))
+    if r.op in _JOINS:
+        return _JOINS[r.op](*join_arguments(r)).graph
+    raise DomainError(f"unknown recipe operator {r.op!r}")
 
 
 def evaluate_text(text: str) -> Graph:

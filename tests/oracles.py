@@ -165,3 +165,15 @@ def hamiltonian_by_cycle_enumeration(g: Graph) -> bool:
     """Hamiltonicity via networkx cycle enumeration."""
     G = to_nx(g)
     return any(len(c) == g.n for c in nx.simple_cycles(G))
+
+
+def has_two_disjoint_cycles_by_enumeration(g: Graph) -> bool:
+    """Is there a cycle C such that G - V(C) still has a cycle?  Tries
+    every cycle networkx enumerates."""
+    G = to_nx(g)
+    for cycle in nx.simple_cycles(G):
+        rest = G.copy()
+        rest.remove_nodes_from(cycle)
+        if nx.cycle_basis(rest):
+            return True
+    return False

@@ -131,6 +131,19 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "count", "--graph6", "!!!")
     assert code == 2
+    for argv in [
+        ("build", "--recipe", "(flower x)"),
+        ("build", "--recipe", "(pentagonjoin (petersen) p=x (petersen) p=0)"),
+        ("build", "--recipe", "(pentagonjoin (petersen) p=-1 (petersen) p=0)"),
+        ("verify", "--theorem", "4.5", "--recipe", "(petersen)", "--pentagon", "99"),
+        ("verify", "--theorem", "4.5", "--recipe", "(petersen)", "--pentagon", "-1"),
+        ("verify", "--theorem", "4.8", "--recipe",
+         "(pentagonjoin (petersen) p=0 (petersen) p=12)"),
+        ("verify", "--theorem", "5.3", "--recipe",
+         "(superpose52 (petersen) e=x (petersen) u=0 v=6)"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err, argv
 
 
 def test_unknown_flag_exits_2(capsys):

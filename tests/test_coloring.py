@@ -14,11 +14,11 @@ from snarkforge.coloring import (
     count_decompositions,
     enumerate_colorings,
     enumerate_decompositions,
-    is_snark,
     parity_residual,
     psi,
     psi_with_counts,
 )
+from snarkforge.analyze import is_snark
 from snarkforge.construct import flower, superpose_52
 from snarkforge.isomorphism import edge_orbits
 
@@ -165,19 +165,16 @@ class TestPsi:
         e = res.map_star_edge(P, (1, 2))
         assert psi(res.graph, e) == 2
 
-    def test_strict_mode_rejects_non_snarks(self, W):
-        # W is colorable, so strict certification fails
-        with pytest.raises(DomainError):
-            psi(W, 0, strict=True)
-
-    def test_strict_mode_accepts_petersen(self, P):
-        assert psi(P, 0, strict=True) == 1
-
 
 class TestIsSnark:
     def test_classification(self, P, W, J5, K4, prism):
         assert is_snark(P) and is_snark(J5)
-        for g in [W, K4, prism, flower(7)]:
+        # off the domain: disconnected cubic, and not cubic
+        two_petersens = Graph.from_edges(
+            20, list(P.edges) + [(u + 10, v + 10) for u, v in P.edges]
+        )
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        for g in [W, K4, prism, flower(7), two_petersens, path]:
             assert is_snark(g) == (g == flower(7))
 
 

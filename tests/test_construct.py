@@ -15,8 +15,8 @@ from snarkforge.coloring import (
     count_decompositions,
     enumerate_colorings,
     enumerate_decompositions,
-    is_snark,
 )
+from snarkforge.analyze import is_snark
 from snarkforge.construct import (
     dot_product,
     flower,

@@ -1,9 +1,11 @@
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     cyclic_connectivity_violated_exhaustive,
     hamiltonian_by_cycle_enumeration,
+    has_two_disjoint_cycles_by_enumeration,
     to_nx,
 )
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
@@ -239,6 +241,35 @@ class TestCyclicConnectivity:
     def test_undefined_without_disjoint_cycles(self, K4):
         with pytest.raises(CyclicConnectivityUndefinedError):
             cyclically_edge_connected_at_least(K4, 4)
+
+    def test_non_cubic_rejected(self, P):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        for g in [path, delete_edges(P, [(0, 1)])]:
+            with pytest.raises(DomainError):
+                cyclically_edge_connected_at_least(g, 4)
+
+    def test_defined_exactly_when_two_disjoint_cycles(self, P, K4, prism):
+        k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        for g in [P, K4, prism, k33]:
+            assert defined_at_level_2(g) == has_two_disjoint_cycles_by_enumeration(g)
+        assert not defined_at_level_2(K4) and not defined_at_level_2(k33)
+
+
+def defined_at_level_2(g: Graph) -> bool:
+    try:
+        cyclically_edge_connected_at_least(g, 2)
+    except CyclicConnectivityUndefinedError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(4, 21, 2)), st.integers(0, 2**32 - 1))
+def test_disjoint_cycles_shortcut_matches_oracle(n, seed):
+    # Lovasz: K4 and K3,3 are the only cubic graphs without two disjoint
+    # cycles; random cubic graphs here may be disconnected
+    g = Graph.from_edges(n, nx.random_regular_graph(3, n, seed=seed).edges())
+    assert defined_at_level_2(g) == has_two_disjoint_cycles_by_enumeration(g)
 
 
 class TestCycleValue:

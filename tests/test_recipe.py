@@ -83,6 +83,17 @@ def test_formatting_normalizes_spacing():
         "(superpose52 (petersen) (petersen) u=0 v=6)",
         "(superpose52 (petersen) e=0 (petersen) u=0 v=5)",  # adjacent pair
         "(pentagonjoin (petersen) p=99 (petersen) p=0)",
+        # integers: non-numeric, or not in canonical decimal
+        "(flower x)",
+        "(flower 05)",
+        "(flower +5)",
+        "(pentagonjoin (petersen) p=x (petersen) p=0)",
+        "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=y)",
+        "(superpose52 (petersen) e=1_0 (petersen) u=0 v=6)",
+        "(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=one)",
+        # pentagon indexes are not counted from the end
+        "(pentagonjoin (petersen) p=-1 (petersen) p=0)",
+        "(pentagonjoin (petersen) p=0 (petersen) p=-12)",
     ],
 )
 def test_bad_recipes_rejected(bad):
