@@ -387,39 +387,76 @@ def is_hamiltonian(g: Graph) -> bool:
 # -- cyclic edge connectivity ------------------------------------------
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _violating_with_one_more(
+    adj: Sequence[tuple[tuple[int, int], ...]], removed: Sequence[bool]
+) -> bool:
+    """Does removing the flagged edges, plus at most one more edge, leave
+    two components that each contain a cycle?
 
-
-def _violating_cut(g: Graph, removed: Sequence[bool]) -> bool:
-    """Does removing the flagged edges leave two components that each
-    contain a cycle?"""
-    parent = list(range(g.n))
-    merges = 0
-    for i, (u, v) in enumerate(g.edges):
-        if removed[i]:
+    One iterative lowlink DFS over G - S (S the flagged edges) records each
+    component's vertex and edge counts, each DFS subtree's vertex and
+    degree sums, and the bridges.  Removing a non-bridge b cannot raise the
+    number of cyclic components, and removing a bridge raises it by at most
+    one, so S + b violates exactly when G - S already has two cyclic
+    components or b is a bridge of a cyclic component with a cycle on both
+    sides.  A side keeps a cycle when it has at least as many inner edges
+    as vertices.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery time, 0 while unvisited
+    low = [0] * n
+    size = [1] * n  # vertices in the DFS subtree
+    deg = [0] * n  # degree sum over the DFS subtree
+    clock = 0
+    cyclic = 0
+    for root in range(n):
+        if disc[root]:
             continue
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            merges += 1
-    if g.n - merges < 2:
-        return False
-    nverts = [0] * g.n
-    medges = [0] * g.n
-    for v in range(g.n):
-        nverts[_find(parent, v)] += 1
-    for i, (u, v) in enumerate(g.edges):
-        if not removed[i]:
-            medges[_find(parent, u)] += 1
-    cyclic = sum(
-        1 for r in range(g.n) if nverts[r] and medges[r] >= nverts[r]
-    )
-    return cyclic >= 2
+        first = clock + 1
+        clock = first
+        disc[root] = low[root] = clock
+        bridges = []  # subtree roots hanging from a bridge
+        # entries: vertex, the edge it was reached by, its adjacency iterator
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, rest = stack[-1]
+            for w, e in rest:
+                if removed[e]:
+                    continue
+                deg[v] += 1
+                if e == via:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, e, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    size[p] += size[v]
+                    deg[p] += deg[v]
+                    if low[v] > disc[p]:
+                        bridges.append(v)
+        comp_v = clock - first + 1
+        comp_e = deg[root] // 2
+        if comp_e < comp_v:
+            continue
+        cyclic += 1
+        if cyclic >= 2:
+            return True
+        for c in bridges:
+            # the bridge is the only edge leaving c's subtree
+            inner = (deg[c] - 1) // 2
+            if inner >= size[c] and comp_e - 1 - inner >= comp_v - size[c]:
+                return True
+    return False
 
 
 def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
@@ -434,6 +471,11 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     cut to produce a strictly smaller violating set (its side keeps its
     cycle, since at most one of the vertex's edges stays inside).  So some
     smallest violating set has no two edges sharing a vertex.
+
+    Only matchings of at most n-2 edges are enumerated; the last edge of a
+    violating matching is found by bridge-finding (Tarjan 1974) over G - S,
+    since removing it must split one cyclic component into two.  See
+    ``_violating_with_one_more``.
     """
     if n < 2:
         raise DomainError("connectivity level must be at least 2")
@@ -443,28 +485,27 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
         raise CyclicConnectivityUndefinedError(
             "graph has no pair of disjoint cycles"
         )
-    limit = n - 1
+    # neighbors and incident edges are built in step, so they pair up
+    adj = [tuple(zip(g.neighbors(x), g.incident_edges(x))) for x in range(g.n)]
     removed = [False] * g.m
-    if _violating_cut(g, removed):
-        return False
     used = [False] * g.n
-    depth = 0
 
-    def rec(start: int) -> bool:
-        nonlocal depth
+    def rec(start: int, room: int) -> bool:
+        if _violating_with_one_more(adj, removed):
+            return True
+        if room == 0:
+            return False
         for i in range(start, g.m):
             u, v = g.edges[i]
             if used[u] or used[v]:
                 continue
             removed[i] = True
             used[u] = used[v] = True
-            depth += 1
-            hit = _violating_cut(g, removed) or (depth < limit and rec(i + 1))
-            depth -= 1
+            hit = rec(i + 1, room - 1)
             removed[i] = False
             used[u] = used[v] = False
             if hit:
                 return True
         return False
 
-    return not rec(0)
+    return not rec(0, n - 2)

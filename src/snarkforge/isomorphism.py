@@ -1,15 +1,20 @@
 """Isomorphism testing, automorphism enumeration, and edge orbits.
 
-Plain backtracking over vertex maps, pruned by a per-vertex invariant
-(valence plus the sorted multiset of BFS distances to all vertices).
-Meant for graphs up to a few dozen vertices; correctness over speed.
+Backtracking over vertex maps, anchored on neighbors: vertices are mapped
+in BFS order, and every vertex except a component root takes its image
+from the unused neighbors of its BFS parent's image, so the branching at
+each step is at most the valence.  Candidates are filtered by a per-vertex
+invariant (valence plus the sorted multiset of BFS distances to all
+vertices), and a candidate is kept only when its already-mapped neighbors
+are exactly the images of the vertex's already-mapped neighbors.  Only
+component roots scan every vertex of the target.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graph import Graph, _find
+from .graph import Graph
 
 
 def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
@@ -45,57 +50,54 @@ def _match(g: Graph, h: Graph, find_all: bool) -> Iterator[list[int]]:
     gi, hi = _invariants(g), _invariants(h)
     if sorted(gi) != sorted(hi):
         return
-    # Map vertices in an order that keeps the partial map connected where
-    # possible, so adjacency constraints bite early.
+    # BFS order: every vertex but a component root has a mapped BFS parent,
+    # and its image must be a neighbor of that parent's image.
     order: list[int] = []
+    parent = [-1] * g.n
     seen = [False] * g.n
     for s in range(g.n):
         if seen[s]:
             continue
         seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            order.append(u)
+        order.append(s)
+        qi = len(order) - 1
+        while qi < len(order):
+            u = order[qi]
+            qi += 1
             for w in g.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-    image: list[Optional[int]] = [None] * g.n
+                    parent[w] = u
+                    order.append(w)
+    pos = [0] * g.n
+    for k, u in enumerate(order):
+        pos[u] = k
+    # the neighbors of order[k] that are already mapped when it is placed
+    earlier = [[w for w in g.neighbors(u) if pos[w] < k] for k, u in enumerate(order)]
+    image = [-1] * g.n
     used = [False] * h.n
-
-    def candidates(u: int) -> Iterator[int]:
-        for x in range(h.n):
-            if not used[x] and hi[x] == gi[u]:
-                yield x
-
-    def consistent(u: int, x: int) -> bool:
-        hx = set(h.neighbors(x))
-        for w in g.neighbors(u):
-            iw = image[w]
-            if iw is not None and iw not in hx:
-                return False
-        deg_mapped = sum(1 for w in g.neighbors(u) if image[w] is not None)
-        deg_hit = sum(1 for y in hx if y in mapped_targets)
-        return deg_mapped <= deg_hit
-
-    mapped_targets: set[int] = set()
 
     def rec(k: int) -> Iterator[list[int]]:
         if k == len(order):
-            yield list(image)  # type: ignore[arg-type]
+            yield list(image)
             return
         u = order[k]
-        for x in candidates(u):
-            if not consistent(u, x):
+        back = earlier[k]
+        pool = range(h.n) if parent[u] < 0 else h.neighbors(image[parent[u]])
+        for x in pool:
+            if used[x] or hi[x] != gi[u]:
+                continue
+            hx = h.neighbors(x)
+            # the mapped neighbors of x are exactly the images of u's
+            if any(image[w] not in hx for w in back):
+                continue
+            if sum(used[y] for y in hx) != len(back):
                 continue
             image[u] = x
             used[x] = True
-            mapped_targets.add(x)
             yield from rec(k + 1)
-            image[u] = None
+            image[u] = -1
             used[x] = False
-            mapped_targets.remove(x)
 
     if find_all:
         yield from rec(0)
@@ -119,6 +121,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def automorphisms(g: Graph) -> list[list[int]]:
     """Every automorphism of g as a vertex permutation (identity included)."""
     return list(_match(g, g, find_all=True))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _orbit_partition(size: int, images) -> list[list[int]]:

@@ -11,9 +11,10 @@ Grammar (s-expression-like, whitespace-separated):
              | "dotproduct" recipe "e1=" I "e2=" J recipe "x=" A "y=" B
                             ["wiring=" parallel|crossed]
 
-Pentagon choices index the host's pentagon list (canonical order); edge
-and vertex choices are indexes/labels of the child graph.  Evaluation is
-deterministic: one recipe always reproduces the identical labeled graph.
+Pentagon choices index the host's pentagon list (canonical order), and a
+rotation K is one of 0..4; edge and vertex choices are indexes/labels of
+the child graph.  Evaluation is deterministic: one recipe always
+reproduces the identical labeled graph.
 """
 
 from __future__ import annotations
@@ -213,10 +214,11 @@ def join_arguments(r: Recipe) -> tuple:
     left, right = (evaluate(c) for c in r.children)
     if r.op == "pentagonjoin":
         i, j = _pentagon_params(r)
-        return (
-            left, pentagon_at(left, i), right, pentagon_at(right, j),
-            _int_param(r, "rot", "0"),
-        )
+        rot = _int_param(r, "rot", "0")
+        if not 0 <= rot <= 4:
+            # the construction reads rotations mod 5; one graph, one text
+            raise DomainError(f"pentagonjoin rotation rot={rot} is outside 0..4")
+        return left, pentagon_at(left, i), right, pentagon_at(right, j), rot
     if r.op == "superpose52":
         return left, _int_param(r, "e"), right, _int_param(r, "u"), _int_param(r, "v")
     return (

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
-Nothing here shares code or strategy with the package internals: coloring
-counts come from one-factorization counting (cubic) or naive index-order
-backtracking (small quasi-cubic), two-factors come from perfect-matching
-complements, and cut checks enumerate every subset.
+Nothing here shares code with the package internals: coloring counts come
+from one-factorization counting (cubic) or naive index-order backtracking
+(small quasi-cubic), two-factors come from perfect-matching complements,
+and cut checks enumerate every subset, or every matching with one
+union-find pass each (the package enumerates one edge fewer and finds the
+last one as a bridge).
 """
 
 from __future__ import annotations
@@ -159,6 +161,56 @@ def cyclic_connectivity_violated_exhaustive(g: Graph, max_cut: int) -> bool:
             if comps_with_cycle >= 2:
                 return True
     return False
+
+
+def cyclic_connectivity_violated_by_matchings(g: Graph, max_cut: int) -> bool:
+    """Any matching of at most max_cut edges whose removal leaves two
+    components that each contain a cycle?  One union-find pass over the
+    kept edges per candidate matching."""
+
+    def violating(removed: list[bool]) -> bool:
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, (u, v) in enumerate(g.edges):
+            if not removed[i]:
+                parent[find(u)] = find(v)
+        nverts = [0] * g.n
+        medges = [0] * g.n
+        for v in range(g.n):
+            nverts[find(v)] += 1
+        for i, (u, v) in enumerate(g.edges):
+            if not removed[i]:
+                medges[find(u)] += 1
+        return sum(1 for r in range(g.n) if nverts[r] and medges[r] >= nverts[r]) >= 2
+
+    removed = [False] * g.m
+    used = [False] * g.n
+
+    def rec(start: int, room: int) -> bool:
+        if violating(removed):
+            return True
+        if room == 0:
+            return False
+        for i in range(start, g.m):
+            u, v = g.edges[i]
+            if used[u] or used[v]:
+                continue
+            removed[i] = True
+            used[u] = used[v] = True
+            hit = rec(i + 1, room - 1)
+            removed[i] = False
+            used[u] = used[v] = False
+            if hit:
+                return True
+        return False
+
+    return rec(0, max_cut)
 
 
 def hamiltonian_by_cycle_enumeration(g: Graph) -> bool:

@@ -135,6 +135,9 @@ def test_domain_errors_exit_2(capsys):
         ("build", "--recipe", "(flower x)"),
         ("build", "--recipe", "(pentagonjoin (petersen) p=x (petersen) p=0)"),
         ("build", "--recipe", "(pentagonjoin (petersen) p=-1 (petersen) p=0)"),
+        ("build", "--recipe", "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=7)"),
+        ("verify", "--theorem", "4.8", "--recipe",
+         "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=-3)"),
         ("verify", "--theorem", "4.5", "--recipe", "(petersen)", "--pentagon", "99"),
         ("verify", "--theorem", "4.5", "--recipe", "(petersen)", "--pentagon", "-1"),
         ("verify", "--theorem", "4.8", "--recipe",

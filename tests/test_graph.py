@@ -1,13 +1,15 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    cyclic_connectivity_violated_by_matchings,
     cyclic_connectivity_violated_exhaustive,
     hamiltonian_by_cycle_enumeration,
     has_two_disjoint_cycles_by_enumeration,
     to_nx,
 )
+from strategies import cubic_graphs
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
 from snarkforge.graph import (
     Cycle,
@@ -27,6 +29,8 @@ from snarkforge.graph import (
     valence_profile,
 )
 from snarkforge.construct import flower
+from snarkforge.ledger import superpose_chain_family
+from snarkforge.recipe import evaluate_text
 
 
 def triangle():
@@ -270,6 +274,33 @@ def test_disjoint_cycles_shortcut_matches_oracle(n, seed):
     # cycles; random cubic graphs here may be disconnected
     g = Graph.from_edges(n, nx.random_regular_graph(3, n, seed=seed).edges())
     assert defined_at_level_2(g) == has_two_disjoint_cycles_by_enumeration(g)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cubic_graphs(30), st.sampled_from([2, 3, 4, 5]))
+def test_bridge_search_matches_matching_enumeration(g, level):
+    assume(g.n >= 8)  # K4 and K3,3 alone are undefined
+    mine = cyclically_edge_connected_at_least(g, level)
+    assert mine == (not cyclic_connectivity_violated_by_matchings(g, level - 1))
+    if g.n <= 12:
+        assert mine == (not cyclic_connectivity_violated_exhaustive(g, level - 1))
+
+
+CONNECTIVITY_PINS = (
+    [(f"(flower {k})", level, True) for k in (5, 7, 9, 11) for level in (3, 4, 5)]
+    + [(text, level, j == 0 or level < 5)
+       for j, text in enumerate(superpose_chain_family(2)) for level in (3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("text,level,expected", CONNECTIVITY_PINS)
+def test_cyclic_connectivity_pins(text, level, expected):
+    g = evaluate_text(text)
+    assert cyclically_edge_connected_at_least(g, level) == expected
+    # the matching enumeration takes 10 s and 30 s on these two; their
+    # pins were computed by it
+    if (text, level) not in {("(flower 9)", 5), ("(flower 11)", 5)}:
+        assert cyclic_connectivity_violated_by_matchings(g, level - 1) == (not expected)
 
 
 class TestCycleValue:

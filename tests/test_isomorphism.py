@@ -1,6 +1,11 @@
+import random
+
 import networkx as nx
+import pytest
+from hypothesis import given, settings
 
 from oracles import to_nx
+from snarkforge.construct import flower
 from snarkforge.graph import Graph, contract_removed_edge
 from snarkforge.isomorphism import (
     automorphisms,
@@ -9,6 +14,7 @@ from snarkforge.isomorphism import (
     is_isomorphic,
     vertex_orbits,
 )
+from strategies import cubic_graphs, random_cubic_union, seeds
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -23,8 +29,6 @@ def pentagonal_prism() -> Graph:
 
 
 def test_relabel_is_isomorphic(P):
-    import random
-
     rng = random.Random(3)
     perm = list(range(10))
     rng.shuffle(perm)
@@ -80,3 +84,35 @@ def test_flower5_four_edge_orbits(J5):
 def test_wheel_identity_single_edge(P, W):
     reduced, _, _ = contract_removed_edge(P, 7)
     assert is_isomorphic(reduced, W)
+
+
+@pytest.mark.parametrize("k", [7, 9, 11, 13])
+def test_flower_edge_orbit_sizes(k):
+    assert sorted(len(o) for o in edge_orbits(flower(k))) == [k, k, 2 * k, 2 * k]
+
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@SETTINGS
+@given(cubic_graphs(24))
+def test_automorphisms_match_networkx(g):
+    G = to_nx(g)
+    oracle = {tuple(m[v] for v in range(g.n)) for m in nx.vf2pp_all_isomorphisms(G, G)}
+    mine = [tuple(a) for a in automorphisms(g)]
+    assert len(mine) == len(set(mine))
+    assert set(mine) == oracle
+
+
+@SETTINGS
+@given(cubic_graphs(24), seeds, seeds)
+def test_is_isomorphic_matches_networkx(g, perm_seed, other_seed):
+    perm = list(range(g.n))
+    random.Random(perm_seed).shuffle(perm)
+    h = relabel(g, perm)
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None
+    assert sorted(mapping) == list(range(g.n))
+    assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
+    other = random_cubic_union([(g.n, other_seed)])
+    assert is_isomorphic(g, other) == nx.is_isomorphic(to_nx(g), to_nx(other))

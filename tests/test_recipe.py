@@ -94,6 +94,10 @@ def test_formatting_normalizes_spacing():
         # pentagon indexes are not counted from the end
         "(pentagonjoin (petersen) p=-1 (petersen) p=0)",
         "(pentagonjoin (petersen) p=0 (petersen) p=-12)",
+        # rotations are taken mod 5, so only 0..4 are spelled
+        "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=5)",
+        "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=7)",
+        "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=-3)",
     ],
 )
 def test_bad_recipes_rejected(bad):
