@@ -33,6 +33,7 @@ from .coloring import (
     psi_with_counts,
 )
 from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
+from .covers import kaszonyi_sum_check
 from .isomorphism import edge_orbits
 from .kempe import are_orthogonal, color_pair_counts
 from .klein import COLORS
@@ -152,8 +153,6 @@ def verify_thm_3_3(g: Graph, e: EdgeLike) -> TheoremReport:
 def verify_thm_3_7(g: Graph, e: EdgeLike) -> TheoremReport:
     """The even-cover sum identity at a removed edge, plus the parity
     consequence: a non-Hamiltonian reduced graph forces an even psi."""
-    from .covers import kaszonyi_sum_check
-
     ref = resolve_edge(g, e)
     reduced, d1, d2 = contract_removed_edge(g, ref)
     ned = count_decompositions(reduced)

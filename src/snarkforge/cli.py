@@ -220,8 +220,14 @@ def cmd_verify(args) -> int:
     return PASS if all_pass else FAIL
 
 
-def _default_ledger_path(args) -> str:
-    return args.ledger or os.environ.get("SNARKFORGE_LEDGER", "snarkforge-ledger.jsonl")
+def _open_ledger(args) -> Ledger:
+    return Ledger(
+        args.ledger or os.environ.get("SNARKFORGE_LEDGER", "snarkforge-ledger.jsonl")
+    )
+
+
+def _budget(args) -> SearchBudget:
+    return SearchBudget(max_edges=args.budget_edges, max_nodes=args.budget_nodes)
 
 
 def cmd_search(args) -> int:
@@ -232,10 +238,9 @@ def cmd_search(args) -> int:
     }
     if args.family not in families:
         raise DomainError(f"unknown family {args.family!r}; known: {sorted(families)}")
-    ledger = Ledger(_default_ledger_path(args))
-    budget = SearchBudget(max_edges=args.budget_edges, max_nodes=args.budget_nodes)
+    ledger = _open_ledger(args)
     count = 0
-    for entry in search(families[args.family](), ledger, budget, workers=args.workers):
+    for entry in search(families[args.family](), ledger, _budget(args), workers=args.workers):
         count += 1
         if hasattr(entry, "psi"):
             print(
@@ -249,9 +254,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_record(args) -> int:
-    ledger = Ledger(_default_ledger_path(args))
-    budget = SearchBudget(max_edges=args.budget_edges, max_nodes=args.budget_nodes)
-    entries = list(search([args.recipe], ledger, budget))
+    entries = list(search([args.recipe], _open_ledger(args), _budget(args)))
     for entry in entries:
         if hasattr(entry, "psi"):
             print(f"recorded psi={entry.psi} edge={entry.edge_index} {entry.recipe}")
@@ -261,15 +264,15 @@ def cmd_record(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ledger = Ledger(_default_ledger_path(args))
+    ledger = _open_ledger(args)
     ledger.export_csv(args.csv)
     print(f"wrote {args.csv}: {len(ledger.achieved())} achieved value(s)")
     return PASS
 
 
 def cmd_import(args) -> int:
-    ledger = Ledger(_default_ledger_path(args))
-    budget = SearchBudget(max_edges=args.budget_edges, max_nodes=args.budget_nodes)
+    ledger = _open_ledger(args)
+    budget = _budget(args)
     strings = []
     if args.graph6:
         strings.append(args.graph6)
@@ -296,6 +299,13 @@ def _add_graph_source(sub, recipe_required=False):
         sub.add_argument("--recipe", help="construction recipe")
         sub.add_argument("--graph6", help="graph6 string")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_ledger_options(sub, budget=True):
+    sub.add_argument("--ledger", help="ledger path (default $SNARKFORGE_LEDGER)")
+    if budget:
+        sub.add_argument("--budget-edges", type=int, default=SearchBudget.max_edges)
+        sub.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,30 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="flowers | pentagon-joins | superpose-chain")
     p.add_argument("--max-n", type=int, default=9, help="largest flower order")
     p.add_argument("--depth", type=int, default=2, help="superpose chain length")
-    p.add_argument("--ledger", help="ledger path (default $SNARKFORGE_LEDGER)")
-    p.add_argument("--budget-edges", type=int, default=80)
-    p.add_argument("--budget-nodes", type=int, default=10**8)
+    _add_ledger_options(p)
     p.add_argument("--workers", type=int, default=1, help="parallel recipe evaluation")
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("record", help="evaluate one recipe into the ledger")
     p.add_argument("--recipe", required=True)
-    p.add_argument("--ledger", help="ledger path (default $SNARKFORGE_LEDGER)")
-    p.add_argument("--budget-edges", type=int, default=80)
-    p.add_argument("--budget-nodes", type=int, default=10**8)
+    _add_ledger_options(p)
     p.set_defaults(func=cmd_record)
 
     p = subs.add_parser("export", help="CSV summary of achieved psi values")
     p.add_argument("--csv", required=True, help="output path")
-    p.add_argument("--ledger", help="ledger path (default $SNARKFORGE_LEDGER)")
+    _add_ledger_options(p, budget=False)
     p.set_defaults(func=cmd_export)
 
     p = subs.add_parser("import", help="ingest graph6 graphs into the ledger")
     p.add_argument("--graph6", help="one graph6 string")
     p.add_argument("--file", help="file with one graph6 string per line")
-    p.add_argument("--ledger", help="ledger path (default $SNARKFORGE_LEDGER)")
-    p.add_argument("--budget-edges", type=int, default=80)
-    p.add_argument("--budget-nodes", type=int, default=10**8)
+    _add_ledger_options(p)
     p.set_defaults(func=cmd_import)
 
     return parser

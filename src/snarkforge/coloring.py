@@ -1,15 +1,16 @@
 """Edge-3-coloring enumeration and counting, decomposition counts, the
 pendant-edge parity residual, and the psi number of a snark edge.
 
-Colors are the three nonzero Klein-group elements (see klein.py).  Every
-count (colorings, decompositions, psi) goes through one frontier DP: it
-places the vertices in an elimination order and keeps, for each coloring
-of the edges crossing the cut, how many partial colorings reach it, in
-the style of Sekine-Imai-Tani frontier counting.  The order is searched
-once per graph value, and a smoothed graph inherits its host's order.
-Explicit colorings are enumerated by a depth-first search instead, its
-edges ordered from a trivalent root so that every edge after the first
-touches an already-colored vertex.
+Colors are the three nonzero Klein-group elements (see klein.py).  One
+kernel serves counting and enumeration alike: it places the vertices in
+an elimination order, and each placement closes the edges back to placed
+vertices and extends the new ones over the colors (or pins) that do not
+clash, in the style of Sekine-Imai-Tani frontier counting.  Counts
+(colorings, decompositions, psi) fold those steps breadth-first, keeping
+for each coloring of the edges crossing the cut how many partial
+colorings reach it; explicit colorings come from walking the same steps
+depth-first.  The order is searched once per graph value, and a smoothed
+graph inherits its host's order.
 """
 
 from __future__ import annotations
@@ -79,85 +80,11 @@ class EdgeColoring:
 # -- enumeration and counting kernels ------------------------------------
 
 
-def _check_colorable_shape(g: Graph, require_connected: bool = True):
+def _check_colorable_shape(g: Graph):
     if any(g.valence(v) > 3 for v in range(g.n)):
         raise DomainError("edge-3-coloring needs maximum valence 3")
-    if require_connected and not g.is_connected():
+    if not g.is_connected():
         raise DomainError("graph must be connected")
-
-
-def _propagation_order(g: Graph, root: Optional[int] = None) -> list[int]:
-    """Edge order such that, within each component, every edge after the
-    first shares a vertex with some earlier edge."""
-    order: list[int] = []
-    done_edge = [False] * g.m
-    seen = [False] * g.n
-    starts = list(range(g.n))
-    if root is not None:
-        starts = [root] + [v for v in starts if v != root]
-    starts.sort(key=lambda v: (v != root, -g.valence(v), v))
-    for s in starts:
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for i in g.incident_edges(u):
-                if done_edge[i]:
-                    continue
-                done_edge[i] = True
-                order.append(i)
-                a, b = g.edges[i]
-                w = b if a == u else a
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return order
-
-
-def _search_colorings(
-    g: Graph,
-    fixed: Optional[dict[int, int]] = None,
-    root: Optional[int] = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every proper total coloring extending ``fixed``, as a tuple of
-    colors indexed by edge."""
-    m = g.m
-    assign = [0] * m
-    mask = [0] * g.n
-    if fixed:
-        for i, c in fixed.items():
-            u, v = g.edges[i]
-            bit = 1 << c
-            if (mask[u] | mask[v]) & bit:
-                return
-            mask[u] |= bit
-            mask[v] |= bit
-            assign[i] = c
-    order = [i for i in _propagation_order(g, root) if not fixed or i not in fixed]
-    edges = g.edges
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(order):
-            yield tuple(assign)
-            return
-        i = order[k]
-        u, v = edges[i]
-        forb = mask[u] | mask[v]
-        for c in COLORS:
-            bit = 1 << c
-            if forb & bit:
-                continue
-            mask[u] |= bit
-            mask[v] |= bit
-            assign[i] = c
-            yield from rec(k + 1)
-            mask[u] &= ~bit
-            mask[v] &= ~bit
-        assign[i] = 0
-
-    yield from rec(0)
 
 
 def _greedy_order(
@@ -214,25 +141,22 @@ def _elimination_order(g: Graph) -> tuple[int, ...]:
     return order
 
 
-def _count_frontier(
-    g: Graph,
-    fixed: Optional[dict[int, int]] = None,
-    node_budget: Optional[int] = None,
-) -> int:
-    """Number of proper total colorings extending ``fixed``.
+def _placement_steps(
+    g: Graph, fixed: Optional[dict[int, int]] = None
+) -> Iterator[tuple[list[int], list[tuple[int, int]], int, dict[int, list[int]]]]:
+    """The vertex placements both kernels walk, in elimination order.
 
-    Vertices are placed in elimination order.  A state is the colors on
-    the frontier edges (one endpoint placed), packed two bits per slot
-    into an int, mapped to how many partial colorings reach it.  Placing
-    a vertex drops states whose known incident colors clash, retires
-    those edges and extends its new edges over the free colors (or their
-    pins).  ``node_budget`` caps the number of states generated."""
+    A partial coloring is the colors on the frontier edges (one endpoint
+    placed), packed two bits per slot into an int.  Each step yields
+    (known, new, clear, extend): the shifts of the slots whose edges the
+    vertex closes, the (edge, shift) pairs of the edges it opens, the mask
+    that retires the known slots, and extend[used], every packing of
+    colors onto the new edges that avoids the color bits in ``used``
+    (bits 1-3) and honours the pins in ``fixed``."""
     fixed = fixed or {}
     placed = [False] * g.n
     slot: dict[int, int] = {}
     free: list[int] = []
-    states = {0: 1}
-    generated = 0
     for v in _elimination_order(g):
         placed[v] = True
         known: list[int] = []
@@ -245,9 +169,6 @@ def _count_frontier(
             else:
                 slot[i] = free.pop() if free else len(slot) + len(free)
                 new.append((i, 2 * slot[i]))
-        clear = ~sum(3 << sh for sh in known)
-        # extend[used]: every packing of colors onto the new edges that
-        # avoids the color bits in ``used`` (bits 1-3) and honours the pins
         extend = {}
         for used in range(0, 16, 2):
             combos = [(0, used)]
@@ -259,6 +180,23 @@ def _count_frontier(
                     if not u >> c & 1
                 ]
             extend[used] = [add for add, _ in combos]
+        yield known, new, ~sum(3 << sh for sh in known), extend
+
+
+def _count_frontier(
+    g: Graph,
+    fixed: Optional[dict[int, int]] = None,
+    node_budget: Optional[int] = None,
+) -> int:
+    """Number of proper total colorings extending ``fixed``.
+
+    Folds the placement steps breadth-first, mapping each frontier state
+    to how many partial colorings reach it: a step drops states whose
+    known colors clash and extends the rest.  ``node_budget`` caps the
+    number of states generated."""
+    states = {0: 1}
+    generated = 0
+    for known, _new, clear, extend in _placement_steps(g, fixed):
         nxt: dict[int, int] = {}
         for s, n_s in states.items():
             used = 0
@@ -283,6 +221,34 @@ def _count_frontier(
     return states.get(0, 0)
 
 
+def _search_colorings(
+    g: Graph, fixed: Optional[dict[int, int]] = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield every proper total coloring extending ``fixed``, as a tuple of
+    colors indexed by edge, by walking the placement steps depth-first."""
+    steps = list(_placement_steps(g, fixed))
+    assign = [0] * g.m
+
+    def walk(k: int, s: int) -> Iterator[tuple[int, ...]]:
+        if k == len(steps):
+            yield tuple(assign)
+            return
+        known, new, clear, extend = steps[k]
+        used = 0
+        for sh in known:
+            bit = 1 << ((s >> sh) & 3)
+            if used & bit:
+                return
+            used |= bit
+        base = s & clear
+        for add in extend[used]:
+            for i, sh in new:
+                assign[i] = (add >> sh) & 3
+            yield from walk(k + 1, base | add)
+
+    yield from walk(0, 0)
+
+
 # -- public counting API -------------------------------------------------
 
 
@@ -300,12 +266,12 @@ def enumerate_colorings(g: Graph) -> Iterator[EdgeColoring]:
         yield EdgeColoring(g, assign)
 
 
-def _decomposition_fixing(g: Graph) -> tuple[dict[int, int], int]:
+def _decomposition_fixing(g: Graph) -> dict[int, int]:
     pivot = next((v for v in range(g.n) if g.valence(v) == 3), None)
     if pivot is None:
         raise DomainError("decomposition counting needs a trivalent vertex")
     e1, e2, e3 = g.incident_edges(pivot)
-    return {e1: 1, e2: 2, e3: 3}, pivot
+    return {e1: 1, e2: 2, e3: 3}
 
 
 def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
@@ -319,7 +285,7 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    return _count_frontier(g, _decomposition_fixing(g)[0], node_budget)
+    return _count_frontier(g, _decomposition_fixing(g), node_budget)
 
 
 def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
@@ -328,8 +294,7 @@ def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    fixed, pivot = _decomposition_fixing(g)
-    for assign in _search_colorings(g, fixed=fixed, root=pivot):
+    for assign in _search_colorings(g, _decomposition_fixing(g)):
         yield EdgeColoring(g, assign)
 
 

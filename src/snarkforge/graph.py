@@ -95,9 +95,6 @@ class Graph:
             raise DomainError(f"edge index {i} out of range")
         return EdgeRef(i, self.edges[i])
 
-    def edge_refs(self) -> list["EdgeRef"]:
-        return [EdgeRef(i, pair) for i, pair in enumerate(self.edges)]
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists."""
         seen = [False] * self.n

@@ -29,11 +29,6 @@ def group_add(x: int, y: int) -> int:
     return x ^ y
 
 
-def is_color(x: int) -> bool:
-    """True for the three nonzero elements."""
-    return x in (A, B, C)
-
-
 def color_name(x: int) -> str:
     return COLOR_NAMES[x]
 

@@ -14,7 +14,9 @@ file a faithful event log (single writer, any number of readers).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import os
 import time
@@ -52,6 +54,8 @@ class PsiRecord:
             raise DomainError(
                 f"psi {self.psi} inconsistent with coloring count {self.ec_count}"
             )
+        if not isinstance(self.graph6, str):
+            raise DomainError(f"graph6 {self.graph6!r} is not a string")
         g = decode_graph6(self.graph6)
         if not 0 <= self.edge_index < g.m:
             raise DomainError(f"edge index {self.edge_index} invalid for stored graph")
@@ -83,6 +87,8 @@ def _line_to_entry(line: str, record_id: int) -> LedgerEntry:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LedgerIntegrityError(f"unparsable line: {exc}", record_id) from None
+    if not isinstance(payload, dict):
+        raise LedgerIntegrityError("record is not a JSON object", record_id)
     kind = payload.pop("kind", None)
     try:
         if kind == "psi":
@@ -215,23 +221,19 @@ def search(
     ledger appends still happen here, in order, through the one writer.
     """
     budget = budget or SearchBudget()
-    if workers > 1:
-        import functools
-        import multiprocessing
+    evaluate = functools.partial(evaluate_recipe_records, budget=budget)
+    with contextlib.ExitStack() as stack:
+        imap = map
+        if workers > 1:
+            # imported here: it would add about 10 ms to every start-up
+            import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            evaluate = functools.partial(evaluate_recipe_records, budget=budget)
-            for entries in pool.imap(evaluate, family):
-                for entry in entries:
-                    if ledger is not None:
-                        ledger.record(entry)
-                    yield entry
-        return
-    for recipe_text in family:
-        for entry in evaluate_recipe_records(recipe_text, budget):
-            if ledger is not None:
-                ledger.record(entry)
-            yield entry
+            imap = stack.enter_context(multiprocessing.Pool(workers)).imap
+        for entries in imap(evaluate, family):
+            for entry in entries:
+                if ledger is not None:
+                    ledger.record(entry)
+                yield entry
 
 
 # -- built-in recipe families -------------------------------------------

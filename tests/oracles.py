@@ -11,6 +11,7 @@ last one as a bridge).
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 import networkx as nx
 
@@ -73,8 +74,9 @@ def count_ec_by_factorization(g: Graph) -> int:
     return 6 * count_ed_by_factorization(g)
 
 
-def naive_count_colorings(g: Graph) -> int:
-    """Backtracking in plain edge-index order with an explicit adjacency
+def naive_colorings(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Every proper edge-3-coloring as a tuple of colors indexed by edge,
+    by backtracking in plain edge-index order with an explicit adjacency
     scan per assignment; no propagation ordering, no bit tricks."""
     colors = [0] * g.m
 
@@ -86,18 +88,21 @@ def naive_count_colorings(g: Graph) -> int:
                     return False
         return True
 
-    def rec(i: int) -> int:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == g.m:
-            return 1
-        total = 0
+            yield tuple(colors)
+            return
         for c in (1, 2, 3):
             if ok(i, c):
                 colors[i] = c
-                total += rec(i + 1)
+                yield from rec(i + 1)
                 colors[i] = 0
-        return total
 
     return rec(0)
+
+
+def naive_count_colorings(g: Graph) -> int:
+    return sum(1 for _ in naive_colorings(g))
 
 
 def two_factors_by_matching(g: Graph) -> list[frozenset[int]]:

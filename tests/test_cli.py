@@ -126,7 +126,7 @@ def test_ledger_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "env-led.jsonl").exists()
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "psi", "--recipe", "(frobnicate)", "--edge", "0")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "count", "--graph6", "!!!")
@@ -147,6 +147,12 @@ def test_domain_errors_exit_2(capsys):
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err, argv
+    bad_ledger = tmp_path / "bad.jsonl"
+    bad_ledger.write_text("[1, 2]\n")
+    code, _, err = run(
+        capsys, "export", "--ledger", str(bad_ledger), "--csv", str(tmp_path / "o.csv")
+    )
+    assert code == 2 and "record 1" in err
 
 
 def test_unknown_flag_exits_2(capsys):

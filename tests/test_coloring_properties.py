@@ -1,8 +1,9 @@
-"""Differential tests for the counting kernel: every count on seeded
-random cubic graphs, and on subgraphs with a few edges deleted, must equal
-what the independent oracles (matching factorization, naive backtracking,
-explicit enumeration) report, and must not depend on the vertex labels;
-nor may the width of the kernel's elimination order."""
+"""Differential tests for the coloring kernel: every count and every
+enumerated coloring on seeded random cubic graphs, and on subgraphs with
+a few edges deleted, must equal what the independent oracles (matching
+factorization, naive backtracking, explicit enumeration) report, and must
+not depend on the vertex labels; nor may the width of the kernel's
+elimination order."""
 
 import random
 
@@ -13,12 +14,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import (
     count_ec_by_factorization,
     count_ed_by_factorization,
+    naive_colorings,
     naive_count_colorings,
 )
 from snarkforge.coloring import (
     _elimination_order,
     count_colorings,
     count_decompositions,
+    enumerate_colorings,
     enumerate_decompositions,
     psi,
 )
@@ -94,6 +97,27 @@ def test_quasi_cubic_counts_match_naive(G, seed):
     assert ec == 6 * ed == naive_count_colorings(g)
     h, _ = relabeled(g, seed)
     assert (count_colorings(h), count_decompositions(h)) == (ec, ed)
+
+
+@SETTINGS
+@given(cubic_graphs(), st.sampled_from(["cubic", "edge-deleted", "quasi-cubic"]), seeds)
+def test_enumeration_matches_naive(G, shape, seed):
+    rng = random.Random(seed)
+    if shape == "edge-deleted":
+        G.remove_edges_from(rng.sample(sorted(G.edges()), rng.randint(1, 3)))
+    elif shape == "quasi-cubic":
+        G.remove_edges_from(nx.find_cycle(G, source=rng.randrange(len(G))))
+    assume(nx.is_connected(G))
+    g, _ = relabeled(to_graph(G), seed)
+    colorings = sorted(c.colors for c in enumerate_colorings(g))
+    assert len(set(colorings)) == len(colorings)
+    expected = list(naive_colorings(g))  # lexicographic: index-order backtracking
+    assert colorings == expected
+    if is_quasi_cubic(g) and any(g.valence(v) == 3 for v in range(g.n)):
+        pivot = next(v for v in range(g.n) if g.valence(v) == 3)
+        pins = list(zip(g.incident_edges(pivot), (1, 2, 3)))
+        decompositions = sorted(c.colors for c in enumerate_decompositions(g))
+        assert decompositions == [c for c in expected if all(c[i] == x for i, x in pins)]
 
 
 def test_psi_matches_enumeration_at_every_edge():

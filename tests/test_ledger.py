@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -69,14 +70,16 @@ class TestLedgerStore:
             led.record(bad)
 
     def test_corrupt_line_reports_record_id(self, tmp_path, P):
-        path = tmp_path / "led.jsonl"
-        led = Ledger(str(path))
-        led.record(make_record(P))
-        with open(path, "a") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(LedgerIntegrityError) as err:
-            Ledger(str(path))
-        assert err.value.record_id == 2
+        good = make_record(P)
+        bad_graph6 = json.dumps({"kind": "psi", **asdict(good), "graph6": 5})
+        for n, bad in enumerate(["{not json", "[1, 2]", "7", bad_graph6]):
+            path = tmp_path / f"led{n}.jsonl"
+            Ledger(str(path)).record(good)
+            with open(path, "a") as fh:
+                fh.write(bad + "\n")
+            with pytest.raises(LedgerIntegrityError) as err:
+                Ledger(str(path))
+            assert err.value.record_id == 2, bad
 
     def test_bad_edge_index_is_integrity_error_on_load(self, tmp_path, P):
         path = tmp_path / "led.jsonl"
