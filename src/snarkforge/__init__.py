@@ -50,7 +50,12 @@ from .kempe import (
     kempe_swap,
     orthogonal_pairs,
 )
-from .covers import EvenCycleCover, even_cycle_covers, kaszonyi_sum_check
+from .covers import (
+    EvenCycleCover,
+    even_cover_sum,
+    even_cycle_covers,
+    kaszonyi_sum_check,
+)
 from .construct import (
     JoinResult,
     dot_product,

@@ -21,7 +21,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
 from .errors import BudgetExceededError, DomainError, LedgerIntegrityError
@@ -82,6 +82,25 @@ def _entry_to_line(entry: LedgerEntry) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_type_ok(value: object, hint: object) -> bool:
+    """Does a decoded JSON value have the type a record field declares?
+    A bool is not a number, a float field also takes an int, and a tuple
+    of str is stored as a list of str."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint == tuple[str, ...]:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, hint)
+
+
+_KINDS = {
+    kind: (cls, get_type_hints(cls))
+    for kind, cls in (("psi", PsiRecord), ("truncated", TruncationRecord))
+}
+
+
 def _line_to_entry(line: str, record_id: int) -> LedgerEntry:
     try:
         payload = json.loads(line)
@@ -90,17 +109,23 @@ def _line_to_entry(line: str, record_id: int) -> LedgerEntry:
     if not isinstance(payload, dict):
         raise LedgerIntegrityError("record is not a JSON object", record_id)
     kind = payload.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise LedgerIntegrityError(f"unknown record kind {kind!r}", record_id)
+    cls, hints = _KINDS[kind]
+    for name, hint in hints.items():
+        if name in payload and not _json_type_ok(payload[name], hint):
+            raise LedgerIntegrityError(
+                f"field {name!r} is {payload[name]!r}, not of type {hint}", record_id
+            )
     try:
-        if kind == "psi":
+        if cls is PsiRecord:
             payload["tags"] = tuple(payload.get("tags", ()))
             rec = PsiRecord(**payload)
             rec.validate()
             return rec
-        if kind == "truncated":
-            return TruncationRecord(**payload)
+        return TruncationRecord(**payload)
     except (TypeError, DomainError, ValueError) as exc:
         raise LedgerIntegrityError(str(exc), record_id) from None
-    raise LedgerIntegrityError(f"unknown record kind {kind!r}", record_id)
 
 
 class Ledger:

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import even_cover_sum_by_matchings
+from snarkforge.coloring import _count_frontier, count_decompositions
 from snarkforge.errors import DomainError
-from snarkforge.graph import contract_removed_edge
-from snarkforge.covers import even_cycle_covers, kaszonyi_sum_check
-from snarkforge.construct import dot_product, petersen, superpose_52
+from snarkforge.graph import Graph, contract_removed_edge
+from snarkforge.covers import even_cover_sum, even_cycle_covers, kaszonyi_sum_check
+from snarkforge.construct import dot_product, flower, petersen, superpose_52
+from snarkforge.isomorphism import edge_orbits
+from strategies import cubic_graphs
 
 
 class TestEvenCycleCovers:
@@ -47,6 +51,52 @@ class TestEvenCycleCovers:
             2 ** c.cycle_count for c in even_cycle_covers(W, spokes[0], spokes[2])
         )
         assert total == 2
+
+
+@st.composite
+def hosts_with_edge_pairs(draw):
+    """A random cubic graph (possibly disconnected) and two distinct edges
+    of it, adjacent or not."""
+    g = draw(cubic_graphs(16))
+    d1, d2 = draw(st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2, unique=True))
+    return g, d1, d2
+
+
+class TestEvenCoverSum:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(hosts_with_edge_pairs())
+    def test_matches_enumeration_and_oracles(self, case):
+        g, d1, d2 = case
+        total = even_cover_sum(g, d1, d2)
+        assert total == sum(2 ** c.cycle_count for c in even_cycle_covers(g, d1, d2))
+        assert total == even_cover_sum_by_matchings(g, d1, d2)
+        if g.is_connected():
+            # colorings with both edges colored 1: the other two colors
+            # alternate around each cycle of an all-even 2-factor
+            assert total == _count_frontier(g, {d1: 1, d2: 1})
+
+    def test_non_cubic_rejected(self):
+        square = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(DomainError):
+            even_cover_sum(square, 0, 1)
+
+    @pytest.mark.parametrize(
+        "k, neds",
+        [
+            (9, [126, 258, 129, 255]),
+            (11, [510, 1026, 513, 1023]),
+            (13, [2046, 4098, 2049, 4095]),
+        ],
+    )
+    def test_two_route_pins_at_scale(self, k, neds):
+        g = flower(k)
+        got = []
+        for orbit in edge_orbits(g):
+            reduced, d1, d2 = contract_removed_edge(g, orbit[0])
+            ned = count_decompositions(reduced)
+            assert 3 * even_cover_sum(reduced, d1, d2) == 2 * ned
+            got.append(ned)
+        assert got == neds
 
 
 class TestSumCheck:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import to_nx
+from snarkforge.coloring import psi
 from snarkforge.construct import flower
 from snarkforge.graph import Graph, contract_removed_edge
 from snarkforge.isomorphism import (
@@ -14,6 +15,8 @@ from snarkforge.isomorphism import (
     is_isomorphic,
     vertex_orbits,
 )
+from snarkforge.ledger import superpose_chain_family
+from snarkforge.recipe import evaluate_text
 from strategies import cubic_graphs, random_cubic_union, seeds
 
 
@@ -89,6 +92,25 @@ def test_wheel_identity_single_edge(P, W):
 @pytest.mark.parametrize("k", [7, 9, 11, 13])
 def test_flower_edge_orbit_sizes(k):
     assert sorted(len(o) for o in edge_orbits(flower(k))) == [k, k, 2 * k, 2 * k]
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        *(f"(flower {k})" for k in (5, 7, 9, 11)),
+        *superpose_chain_family(2),
+        "(pentagonjoin (flower 5) p=0 (flower 5) p=0)",
+    ],
+)
+def test_psi_constant_on_edge_orbits(recipe):
+    """The automorphism code against the counting code: psi, counted at
+    every edge, takes one value on each edge orbit."""
+    g = evaluate_text(recipe)
+    orbits = edge_orbits(g)
+    assert sorted(e for orbit in orbits for e in orbit) == list(range(g.m))
+    values = [psi(g, e) for e in range(g.m)]
+    for orbit in orbits:
+        assert len({values[e] for e in orbit}) == 1, orbit
 
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)

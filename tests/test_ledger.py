@@ -71,8 +71,19 @@ class TestLedgerStore:
 
     def test_corrupt_line_reports_record_id(self, tmp_path, P):
         good = make_record(P)
-        bad_graph6 = json.dumps({"kind": "psi", **asdict(good), "graph6": 5})
-        for n, bad in enumerate(["{not json", "[1, 2]", "7", bad_graph6]):
+        # each a record whose JSON type differs from its field's annotation
+        mistyped = [
+            json.dumps({"kind": "psi", **asdict(good), field: value})
+            for field, value in [
+                ("graph6", 5),
+                ("psi", True),
+                ("edge_index", 1.5),
+                ("tags", "ab"),
+                ("recipe", 5),
+                ("wall_time", False),
+            ]
+        ]
+        for n, bad in enumerate(["{not json", "[1, 2]", "7", *mistyped]):
             path = tmp_path / f"led{n}.jsonl"
             Ledger(str(path)).record(good)
             with open(path, "a") as fh:
@@ -80,6 +91,12 @@ class TestLedgerStore:
             with pytest.raises(LedgerIntegrityError) as err:
                 Ledger(str(path))
             assert err.value.record_id == 2, bad
+
+    def test_integer_wall_time_loads(self, tmp_path, P):
+        path = tmp_path / "led.jsonl"
+        line = json.dumps({"kind": "psi", **asdict(make_record(P)), "wall_time": 0})
+        path.write_text(line + "\n")
+        assert Ledger(str(path)).psi_records()[0].wall_time == 0
 
     def test_bad_edge_index_is_integrity_error_on_load(self, tmp_path, P):
         path = tmp_path / "led.jsonl"
