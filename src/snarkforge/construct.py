@@ -96,7 +96,8 @@ def remove_pentagon(g: Graph, p: Cycle) -> tuple[Graph, list[EdgeRef]]:
     pendants = []
     for vtx in p.vertices:
         inc = reduced.incident_edges(vtx)
-        assert len(inc) == 1
+        if len(inc) != 1:
+            raise DomainError(f"pentagon vertex {vtx} keeps {len(inc)} edges, not 1")
         pendants.append(reduced.edge_ref(inc[0]))
     return reduced, pendants
 

@@ -1,6 +1,17 @@
 """Kempe chains: the maximal two-colored connected subgraphs of an
 edge-3-coloring, the color-interchange move on them, and the derived
 orthogonality predicate for edge pairs of a colorable cubic graph.
+
+The chain API (kempe_chain_two_colors, kempe_chain, kempe_swap) works on
+any host of maximum valence 3, where a chain may be a path.  The
+orthogonality predicates take cubic hosts only, and there two facts make
+them cheap.  A color permutation pi maps every xy-cycle onto a
+pi(x)pi(y)-cycle with the same edges, so which edge sets are two-colored
+cycles is the same for all 6 colorings of a decomposition, and one pinned
+coloring per decomposition (enumerate_decompositions) stands for them all.
+And every vertex carries each color once, so each two-colored subgraph is
+2-regular: every chain is a cycle, walked from any of its edges by taking
+at each vertex the one edge of the other color.
 """
 
 from __future__ import annotations
@@ -10,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .graph import EdgeLike, Graph, is_cubic, resolve_edge
 from .klein import COLORS
-from .coloring import EdgeColoring, enumerate_colorings
+from .coloring import EdgeColoring, enumerate_colorings, enumerate_decompositions
 
 
 @dataclass(frozen=True)
@@ -76,38 +87,57 @@ def kempe_swap(coloring: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     for i in chain.edge_indexes:
         new[i] ^= flip
     swapped = EdgeColoring(coloring.graph, tuple(new))
-    assert swapped.is_proper()
+    if not swapped.is_proper():
+        raise DomainError("chain is not a maximal two-colored chain of this coloring")
     return swapped
 
 
-def _cocyclic_in(coloring: EdgeColoring, d1: int, d2: int) -> bool:
-    """Do d1 and d2 lie on one two-colored cycle of this coloring?"""
-    x = coloring.colors[d1]
-    y = coloring.colors[d2]
-    pairs = [(x, y)] if x != y else [(x, z) for z in COLORS if z != x]
-    for p, q in pairs:
-        chain = kempe_chain_two_colors(coloring, p, q, d1)
-        if chain.is_cycle and d2 in chain.edge_indexes:
-            return True
-    return False
+def _kempe_cycle(h: Graph, colors: tuple[int, ...], start: int, other: int) -> list[int]:
+    """Edges of the cycle through ``start`` colored colors[start] and
+    ``other`` on a cubic host, in walk order: from each vertex the walk
+    takes the one edge of the color it did not arrive by, and it ends when
+    it comes back to ``start``."""
+    flip = colors[start] ^ other
+    want = colors[start]
+    cycle = [start]
+    v = h.edges[start][1]
+    while True:
+        want ^= flip
+        for e in h.incident_edges(v):
+            if colors[e] == want:
+                break
+        if e == start:
+            return cycle
+        cycle.append(e)
+        v = sum(h.edges[e]) - v
 
 
 def are_orthogonal(h: Graph, d1: EdgeLike, d2: EdgeLike) -> bool:
     """True iff no coloring of h puts d1 and d2 on a common two-colored
-    Kempe cycle.  Decided by full enumeration of the colorings.
+    Kempe cycle.
+
+    Decided on one coloring per decomposition: a color permutation pi maps
+    each xy-cycle onto a pi(x)pi(y)-cycle with the same edges, so whether
+    d1 and d2 share one is the same for all 6 colorings of a
+    decomposition.  A cubic host's two-colored subgraphs are 2-regular, so
+    in each representative the cycle through d1 is walked directly, for
+    the pair {c(d1), c(d2)}, or, when the two colors are equal, for both
+    pairs that contain that color.
 
     Defined for colorable cubic hosts; an uncolorable host is a domain
     error, as is d1 == d2.
     """
     if not is_cubic(h):
         raise DomainError("orthogonality is defined for cubic hosts")
-    r1, r2 = resolve_edge(h, d1), resolve_edge(h, d2)
-    if r1.index == r2.index:
+    i, j = resolve_edge(h, d1).index, resolve_edge(h, d2).index
+    if i == j:
         raise DomainError("need two distinct edges")
     seen_any = False
-    for coloring in enumerate_colorings(h):
+    for rep in enumerate_decompositions(h):
         seen_any = True
-        if _cocyclic_in(coloring, r1.index, r2.index):
+        x, y = rep.colors[i], rep.colors[j]
+        others = (y,) if x != y else [z for z in COLORS if z != x]
+        if any(j in _kempe_cycle(h, rep.colors, i, z) for z in others):
             return False
     if not seen_any:
         raise DomainError("host graph is uncolorable")
@@ -129,33 +159,35 @@ def color_pair_counts(
 def orthogonal_pairs(h: Graph) -> list[tuple[int, int]]:
     """All unordered pairs of orthogonal edges of a colorable cubic graph.
 
-    One full enumeration suffices: every pair seen together on some
-    two-colored cycle is struck out, and the survivors are orthogonal.
+    One pass over one coloring per decomposition suffices, since a color
+    permutation keeps every two-colored cycle's edge set (see
+    are_orthogonal).  In each representative, each of the three color
+    pairs splits its edges into cycles, walked one at a time because the
+    two-colored subgraph of a cubic host is 2-regular.  Every pair seen
+    together on one cycle is struck out, and the survivors are orthogonal.
     Adjacent pairs are always co-cyclic, so they never survive.
     """
     if not is_cubic(h):
         raise DomainError("orthogonality is defined for cubic hosts")
-    cocyclic: set[tuple[int, int]] = set()
+    cocyclic = [0] * h.m  # edge -> bitmask of the edges it shares a cycle with
     seen_any = False
-    for coloring in enumerate_colorings(h):
+    for rep in enumerate_decompositions(h):
         seen_any = True
         for x, y in ((1, 2), (1, 3), (2, 3)):
-            done: set[int] = set()
+            done = 0
             for i in range(h.m):
-                if i in done or coloring.colors[i] not in (x, y):
+                if done >> i & 1 or rep.colors[i] not in (x, y):
                     continue
-                chain = kempe_chain_two_colors(coloring, x, y, i)
-                done |= chain.edge_indexes
-                if chain.is_cycle:
-                    members = sorted(chain.edge_indexes)
-                    for a in range(len(members)):
-                        for b in range(a + 1, len(members)):
-                            cocyclic.add((members[a], members[b]))
+                cycle = _kempe_cycle(h, rep.colors, i, x ^ y ^ rep.colors[i])
+                mask = sum(1 << k for k in cycle)
+                done |= mask
+                for k in cycle:
+                    cocyclic[k] |= mask
     if not seen_any:
         raise DomainError("host graph is uncolorable")
     return [
         (i, j)
         for i in range(h.m)
         for j in range(i + 1, h.m)
-        if (i, j) not in cocyclic
+        if not cocyclic[i] >> j & 1
     ]

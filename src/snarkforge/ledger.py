@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
 from .errors import BudgetExceededError, DomainError, LedgerIntegrityError
-from .graph import list_pentagons
+from .graph import Graph, list_pentagons
 from .graph6 import decode_graph6, encode_graph6
 from .coloring import psi_with_counts
 from .isomorphism import edge_orbits
@@ -134,6 +134,7 @@ class Ledger:
     def __init__(self, path: str):
         self.path = path
         self.entries: list[LedgerEntry] = []
+        self._witnesses: dict[str, Graph] = {}  # recipe -> graph, for reverify
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -165,8 +166,14 @@ class Ledger:
 
     def reverify(self, rec: PsiRecord) -> bool:
         """Rebuild the witness from its recipe and confirm the stored
-        graph6 string and counts bit-identically."""
-        g = evaluate_text(rec.recipe)
+        graph6 string and counts bit-identically.
+
+        Each recipe is built once per Ledger, so its graph's elimination
+        order is searched once however many records it has; the graph6
+        comparison and the psi recount still run for every record."""
+        g = self._witnesses.get(rec.recipe)
+        if g is None:
+            g = self._witnesses[rec.recipe] = evaluate_text(rec.recipe)
         if encode_graph6(g) != rec.graph6:
             return False
         psi_val, _ned, ec = psi_with_counts(g, rec.edge_index)

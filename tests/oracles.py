@@ -234,3 +234,23 @@ def has_two_disjoint_cycles_by_enumeration(g: Graph) -> bool:
         if nx.cycle_basis(rest):
             return True
     return False
+
+
+def cocyclic_pairs_by_naive_colorings(g: Graph) -> set[tuple[int, int]]:
+    """Edge pairs (i, j), i < j, that lie on one two-colored cycle in some
+    edge-3-coloring: for every naive coloring and every color pair, the
+    networkx components of the subgraph of the edges with those colors,
+    kept when each of their vertices has degree 2."""
+    out: set[tuple[int, int]] = set()
+    for colors in naive_colorings(g):
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            H = nx.Graph()
+            H.add_edges_from(
+                (*g.edges[i], {"index": i}) for i in range(g.m) if colors[i] in pair
+            )
+            for comp in nx.connected_components(H):
+                sub = H.subgraph(comp)
+                if all(d == 2 for _, d in sub.degree()):
+                    idx = sorted(i for _, _, i in sub.edges(data="index"))
+                    out.update(combinations(idx, 2))
+    return out

@@ -1,13 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import cocyclic_pairs_by_naive_colorings, naive_count_colorings
 from snarkforge.errors import DomainError
 from snarkforge.graph import contract_removed_edge, delete_edges, list_pentagons
 from snarkforge.klein import A, B, C, COLORS
-from snarkforge.coloring import enumerate_colorings
-from snarkforge.construct import remove_pentagon
+from snarkforge.coloring import count_decompositions, enumerate_colorings
+from snarkforge.construct import flower, petersen, remove_pentagon
+from snarkforge.isomorphism import edge_orbits
+from snarkforge.ledger import superpose_chain_family
+from snarkforge.recipe import evaluate_text
 from snarkforge.kempe import (
+    KempeChain,
     are_orthogonal,
     color_pair_counts,
     kempe_chain,
@@ -15,6 +21,7 @@ from snarkforge.kempe import (
     kempe_swap,
     orthogonal_pairs,
 )
+from strategies import cubic_graphs
 
 
 def all_chains(coloring):
@@ -132,6 +139,16 @@ class TestSwap:
         assert chain.is_cycle and len(chain.edge_indexes) == 8
         assert kempe_swap(first, chain) == second
 
+    def test_partial_chain_rejected(self, W):
+        # swapping only part of a two-colored cycle leaves a clash
+        coloring = next(enumerate_colorings(W))
+        chain = kempe_chain(coloring, 0, B if coloring.colors[0] != B else C)
+        part = KempeChain(
+            coloring, chain.colors, frozenset({0}), chain.kind, chain.endpoints
+        )
+        with pytest.raises(DomainError):
+            kempe_swap(coloring, part)
+
 
 class TestOrthogonality:
     def test_wheel_spoke_pairs(self, W_parts):
@@ -151,6 +168,65 @@ class TestOrthogonality:
     def test_identical_edges_rejected(self, W):
         with pytest.raises(DomainError):
             are_orthogonal(W, 0, 0)
+
+    def test_inserted_edges_orthogonal_at_every_orbit(self):
+        # theorem 3.3: in a colorable smoothed snark the two inserted edges
+        # are orthogonal; random pairs almost never are, so pin the
+        # positive cases on the library's own snarks
+        hosts = [petersen(), flower(5), flower(7), flower(9)]
+        hosts += [evaluate_text(r) for r in list(superpose_chain_family(2))[1:]]
+        colorable = 0
+        for g in hosts:
+            for orbit in edge_orbits(g):
+                reduced, d1, d2 = contract_removed_edge(g, orbit[0])
+                if count_decompositions(reduced):
+                    colorable += 1
+                    assert are_orthogonal(reduced, d1, d2)
+                else:
+                    with pytest.raises(DomainError):
+                        are_orthogonal(reduced, d1, d2)
+        assert colorable == 1 + 4 + 4 + 4 + 17 + 25
+
+
+@st.composite
+def colorable_hosts_with_pairs(draw):
+    """A connected colorable random cubic graph and three distinct-edge
+    pairs of it."""
+    g = draw(cubic_graphs(14))
+    assume(g.is_connected() and naive_count_colorings(g) > 0)
+    pair = st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2, unique=True)
+    return g, [tuple(draw(pair)) for _ in range(3)]
+
+
+class TestAgainstNaiveColorings:
+    @pytest.mark.parametrize(
+        "recipe, e", [("(petersen)", 0), ("(flower 5)", 0), ("(flower 5)", 2)]
+    )
+    def test_smoothed_snarks_with_orthogonal_pairs(self, recipe, e):
+        g = contract_removed_edge(evaluate_text(recipe), e)[0]
+        cocyclic = cocyclic_pairs_by_naive_colorings(g)
+        expected = [
+            (i, j) for i in range(g.m) for j in range(i + 1, g.m) if (i, j) not in cocyclic
+        ]
+        assert expected
+        assert orthogonal_pairs(g) == expected
+        for i in range(g.m):
+            for j in range(i + 1, g.m):
+                assert are_orthogonal(g, i, j) == ((i, j) in expected)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(colorable_hosts_with_pairs())
+    def test_orthogonality_matches_oracle(self, case):
+        g, pairs = case
+        cocyclic = cocyclic_pairs_by_naive_colorings(g)
+        for i, j in pairs:
+            assert are_orthogonal(g, i, j) == ((min(i, j), max(i, j)) not in cocyclic)
+        assert orthogonal_pairs(g) == [
+            (i, j)
+            for i in range(g.m)
+            for j in range(i + 1, g.m)
+            if (i, j) not in cocyclic
+        ]
 
 
 class TestColorPairCounts:

@@ -1,11 +1,12 @@
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from snarkforge.errors import DomainError, LedgerIntegrityError
-from snarkforge.graph6 import encode_graph6
+from snarkforge.graph import Graph
+from snarkforge.graph6 import decode_graph6, encode_graph6
 from snarkforge.ledger import (
     Ledger,
     PsiRecord,
@@ -200,6 +201,31 @@ class TestSearch:
         assert {1, 2} <= psis
         for rec in led.psi_records():
             assert led.reverify(rec)
+
+    @pytest.mark.parametrize("field", ["psi", "graph6"])
+    @pytest.mark.parametrize("tampered_first", [False, True])
+    def test_reverify_memo_cannot_hide_a_mismatch(self, tmp_path, field, tampered_first):
+        # two records of one recipe share the rebuilt graph, but each
+        # still gets its own graph6 comparison and recount
+        good, other = evaluate_recipe_records("(flower 5)")[:2]
+        if field == "psi":
+            bad = replace(other, psi=other.psi + 1, ec_count=(other.psi + 1) * 18)
+        else:
+            g = decode_graph6(other.graph6)
+            swap = list(range(g.n))
+            swap[0], swap[-1] = swap[-1], swap[0]
+            relabelled = Graph.from_edges(g.n, [(swap[u], swap[v]) for u, v in g.edges])
+            bad = replace(other, graph6=encode_graph6(relabelled))
+            assert bad.graph6 != other.graph6
+        path = str(tmp_path / "led.jsonl")
+        Ledger(path).record(good)
+        Ledger(path).record(bad)
+        led = Ledger(path)
+        first, second = led.psi_records()
+        assert first.recipe == second.recipe
+        calls = [(second, False), (first, True)] if tampered_first else [(first, True), (second, False)]
+        for rec, verdict in calls:
+            assert led.reverify(rec) is verdict
 
     def test_empty_family_is_empty_stream(self, tmp_path):
         led = Ledger(str(tmp_path / "led.jsonl"))
