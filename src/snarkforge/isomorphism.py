@@ -43,7 +43,7 @@ def _invariants(g: Graph) -> list[tuple]:
     ]
 
 
-def _match(g: Graph, h: Graph, find_all: bool) -> Iterator[list[int]]:
+def _match(g: Graph, h: Graph) -> Iterator[list[int]]:
     """Yield vertex bijections g -> h preserving adjacency."""
     if g.n != h.n or g.m != h.m:
         return
@@ -99,19 +99,12 @@ def _match(g: Graph, h: Graph, find_all: bool) -> Iterator[list[int]]:
             image[u] = -1
             used[x] = False
 
-    if find_all:
-        yield from rec(0)
-    else:
-        for m in rec(0):
-            yield m
-            return
+    yield from rec(0)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
     """A vertex map g -> h if the graphs are isomorphic, else None."""
-    for m in _match(g, h, find_all=False):
-        return m
-    return None
+    return next(_match(g, h), None)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -120,7 +113,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def automorphisms(g: Graph) -> list[list[int]]:
     """Every automorphism of g as a vertex permutation (identity included)."""
-    return list(_match(g, g, find_all=True))
+    return list(_match(g, g))
 
 
 def _find(parent: list[int], x: int) -> int:

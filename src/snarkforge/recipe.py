@@ -11,6 +11,12 @@ Grammar (s-expression-like, whitespace-separated):
              | "dotproduct" recipe "e1=" I "e2=" J recipe "x=" A "y=" B
                             ["wiring=" parallel|crossed]
 
+Within a node, keys may come in any order among themselves and the
+sub-recipes; a key given twice in the grammar (pentagonjoin's p=) binds
+in order of appearance.  An unknown or repeated key is a domain error.
+The canonical form lists keys in grammar order and omits optional keys
+left at their defaults (rot=0, wiring=parallel).
+
 Pentagon choices index the host's pentagon list (canonical order), and a
 rotation K is one of 0..4; edge and vertex choices are indexes/labels of
 the child graph.  Evaluation is deterministic: one recipe always
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .graph import Cycle, Graph, list_pentagons
@@ -28,109 +35,122 @@ from .graph6 import decode_graph6
 from .construct import dot_product, flower, pentagon_join, petersen, superpose_52
 
 
+class _Slot(NamedTuple):
+    key: str = ""  # "" marks a sub-recipe
+    default: Optional[str] = None  # an optional key's value when omitted
+    positional: bool = False  # written bare, not as key=value
+
+
+_SUB = _Slot()
+
+# Each operator's slots in canonical order.
+_SIGNATURES: dict[str, tuple[_Slot, ...]] = {
+    "petersen": (),
+    "flower": (_Slot("n", positional=True),),
+    "graph6": (_Slot("s", positional=True),),
+    "pentagonjoin": (_SUB, _Slot("p"), _SUB, _Slot("p"), _Slot("rot", "0")),
+    "superpose52": (_SUB, _Slot("e"), _SUB, _Slot("u"), _Slot("v")),
+    "dotproduct": (
+        _SUB, _Slot("e1"), _Slot("e2"), _SUB, _Slot("x"), _Slot("y"),
+        _Slot("wiring", "parallel"),
+    ),
+}
+
+_CONSTRUCTORS = {
+    "petersen": petersen,
+    "flower": flower,
+    "graph6": decode_graph6,
+    "pentagonjoin": pentagon_join,
+    "superpose52": superpose_52,
+    "dotproduct": dot_product,
+}
+
+
 @dataclass(frozen=True)
 class Recipe:
+    """One recipe node: its operator, its sub-recipes in order, and a
+    (key, value) pair for every key slot in the operator's slot order,
+    omitted optional keys holding their defaults."""
+
     op: str
     children: tuple["Recipe", ...] = ()
     params: tuple[tuple[str, str], ...] = ()
 
-    def param(self, key: str, default: str | None = None) -> str:
+    def param(self, key: str) -> str:
+        """The value of the node's first ``key`` slot."""
         for k, v in self.params:
             if k == key:
                 return v
-        if default is None:
-            raise DomainError(f"recipe {self.op!r} is missing parameter {key}=")
-        return default
+        raise DomainError(f"recipe {self.op!r} has no parameter {key}=")
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
+def _slots(r: Recipe) -> list[tuple[_Slot, object]]:
+    """r's slots in canonical order, each with its sub-recipe or value."""
+    children, params = iter(r.children), iter(r.params)
+    return [
+        (s, next(children) if s is _SUB else next(params)[1])
+        for s in _SIGNATURES[r.op]
+    ]
+
+
+def _bind(op: str, children: list[Recipe], words: list[str]) -> Recipe:
+    """Bind a node's words to the operator's key slots: ``key=value`` to
+    the first free slot of that key, a bare word to the positional slot."""
+    signature = _SIGNATURES[op]
+    keys = [s for s in signature if s is not _SUB]
+    if len(children) != signature.count(_SUB):
+        raise DomainError(
+            f"{op!r} takes {signature.count(_SUB)} sub-recipes, got {len(children)}"
+        )
+    values: list[Optional[str]] = [None] * len(keys)
+    for word in words:
+        key, value = word.split("=", 1) if "=" in word else (None, word)
+        for i, s in enumerate(keys):
+            if values[i] is None and (None if s.positional else s.key) == key:
+                values[i] = value
+                break
         else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+            raise DomainError(
+                f"recipe {op!r} has no slot left for {word!r}"
+                " (an unknown or repeated key, or an extra argument)"
+            )
+    params = []
+    for s, v in zip(keys, values):
+        if v is None and s.default is None:
+            raise DomainError(f"recipe {op!r} is missing parameter {s.key}")
+        params.append((s.key, s.default if v is None else v))
+    return Recipe(op, tuple(children), tuple(params))
 
 
-_ARITY = {
-    "petersen": 0,
-    "flower": 0,
-    "graph6": 0,
-    "pentagonjoin": 2,
-    "superpose52": 2,
-    "dotproduct": 2,
-}
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def parse_recipe(text: str) -> Recipe:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise DomainError("unexpected end of recipe")
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    tokens = iter(_TOKEN.findall(text))
 
     def parse_node() -> Recipe:
-        if take() != "(":
-            raise DomainError("recipe must start with '('")
-        op = take().lower()
-        if op not in _ARITY:
+        """The node whose '(' was just read, through its ')'."""
+        op = next(tokens, None)
+        if op is None:
+            raise DomainError("unexpected end of recipe")
+        op = op.lower()
+        if op not in _SIGNATURES:
             raise DomainError(f"unknown recipe operator {op!r}")
         children: list[Recipe] = []
-        params: list[tuple[str, str]] = []
-        positional: list[str] = []
-        while True:
-            if pos >= len(tokens):
-                raise DomainError("unclosed '(' in recipe")
-            if tokens[pos] == ")":
-                pos_advance()
-                break
-            if tokens[pos] == "(":
+        words: list[str] = []
+        for tok in tokens:
+            if tok == ")":
+                return _bind(op, children, words)
+            if tok == "(":
                 children.append(parse_node())
             else:
-                tok = take()
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    params.append((k, v))
-                else:
-                    positional.append(tok)
-        if op == "flower":
-            if len(positional) != 1:
-                raise DomainError("flower takes exactly one order argument")
-            params.append(("n", positional[0]))
-        elif op == "graph6":
-            if len(positional) != 1:
-                raise DomainError("graph6 takes exactly one string argument")
-            params.append(("s", positional[0]))
-        elif positional:
-            raise DomainError(f"unexpected arguments {positional} for {op!r}")
-        if len(children) != _ARITY[op]:
-            raise DomainError(
-                f"{op!r} takes {_ARITY[op]} sub-recipes, got {len(children)}"
-            )
-        return Recipe(op, tuple(children), tuple(params))
+                words.append(tok)
+        raise DomainError("unclosed '(' in recipe")
 
-    def pos_advance():
-        nonlocal pos
-        pos += 1
-
+    if next(tokens, None) != "(":
+        raise DomainError("recipe must start with '('")
     node = parse_node()
-    if pos != len(tokens):
+    if next(tokens, None) is not None:
         raise DomainError("trailing tokens after recipe")
     return node
 
@@ -138,41 +158,13 @@ def parse_recipe(text: str) -> Recipe:
 def format_recipe(r: Recipe) -> str:
     """Canonical text for a recipe tree (parse . format is stable)."""
     parts = [r.op]
-    if r.op == "flower":
-        parts.append(r.param("n"))
-        return "(" + " ".join(parts) + ")"
-    if r.op == "graph6":
-        parts.append(r.param("s"))
-        return "(" + " ".join(parts) + ")"
-    if r.op == "pentagonjoin":
-        left, right = r.children
-        parts = [
-            "pentagonjoin",
-            format_recipe(left),
-            f"p={r.params[0][1]}",
-            format_recipe(right),
-            f"p={r.params[1][1]}",
-        ]
-        rot = r.param("rot", "0")
-        if rot != "0":
-            parts.append(f"rot={rot}")
-        return "(" + " ".join(parts) + ")"
-    if r.op == "superpose52":
-        left, right = r.children
-        return "({} {} e={} {} u={} v={})".format(
-            r.op, format_recipe(left), r.param("e"),
-            format_recipe(right), r.param("u"), r.param("v"),
-        )
-    if r.op == "dotproduct":
-        left, right = r.children
-        text = "({} {} e1={} e2={} {} x={} y={}".format(
-            r.op, format_recipe(left), r.param("e1"), r.param("e2"),
-            format_recipe(right), r.param("x"), r.param("y"),
-        )
-        wiring = r.param("wiring", "parallel")
-        if wiring != "parallel":
-            text += f" wiring={wiring}"
-        return text + ")"
+    for slot, x in _slots(r):
+        if slot is _SUB:
+            parts.append(format_recipe(x))
+        elif slot.positional:
+            parts.append(x)
+        elif x != slot.default:
+            parts.append(f"{slot.key}={x}")
     return "(" + " ".join(parts) + ")"
 
 
@@ -187,18 +179,6 @@ def _integer(r: Recipe, key: str, text: str) -> int:
     return int(text)
 
 
-def _int_param(r: Recipe, key: str, default: str | None = None) -> int:
-    return _integer(r, key, r.param(key, default))
-
-
-def _pentagon_params(r: Recipe) -> tuple[int, int]:
-    # pentagonjoin carries two p= entries, in child order.
-    ps = [_integer(r, k, v) for k, v in r.params if k == "p"]
-    if len(ps) != 2:
-        raise DomainError("pentagonjoin needs p= for both sides")
-    return ps[0], ps[1]
-
-
 def pentagon_at(g: Graph, i: int) -> Cycle:
     """Entry i of g's canonical pentagon list; negative indexes are
     rejected rather than counted from the end."""
@@ -209,38 +189,33 @@ def pentagon_at(g: Graph, i: int) -> Cycle:
 
 
 def join_arguments(r: Recipe) -> tuple:
-    """The evaluated arguments of a two-child recipe node, in the order
-    its construction (and the matching identity verifier) takes them."""
-    left, right = (evaluate(c) for c in r.children)
-    if r.op == "pentagonjoin":
-        i, j = _pentagon_params(r)
-        rot = _int_param(r, "rot", "0")
-        if not 0 <= rot <= 4:
-            # the construction reads rotations mod 5; one graph, one text
-            raise DomainError(f"pentagonjoin rotation rot={rot} is outside 0..4")
-        return left, pentagon_at(left, i), right, pentagon_at(right, j), rot
-    if r.op == "superpose52":
-        return left, _int_param(r, "e"), right, _int_param(r, "u"), _int_param(r, "v")
-    return (
-        left, _int_param(r, "e1"), _int_param(r, "e2"),
-        right, _int_param(r, "x"), _int_param(r, "y"),
-        r.param("wiring", "parallel"),
-    )
-
-
-_JOINS = {"pentagonjoin": pentagon_join, "superpose52": superpose_52, "dotproduct": dot_product}
+    """The evaluated arguments of a recipe node in slot order, the order
+    its construction (and, for a two-child node, the matching identity
+    verifier) takes them: sub-recipes as graphs, p= as that pentagon of
+    the sub-recipe before it, s= and wiring= as text, the rest as
+    integers."""
+    args: list = []
+    for slot, x in _slots(r):
+        if slot is _SUB:
+            host = evaluate(x)
+            args.append(host)
+        elif slot.key in ("s", "wiring"):
+            args.append(x)
+        else:
+            value = _integer(r, slot.key, x)
+            if slot.key == "p":
+                value = pentagon_at(host, value)
+            elif slot.key == "rot" and not 0 <= value <= 4:
+                # the construction reads rotations mod 5; one graph, one text
+                raise DomainError(f"pentagonjoin rotation rot={value} is outside 0..4")
+            args.append(value)
+    return tuple(args)
 
 
 def evaluate(r: Recipe) -> Graph:
-    if r.op == "petersen":
-        return petersen()
-    if r.op == "flower":
-        return flower(_int_param(r, "n"))
-    if r.op == "graph6":
-        return decode_graph6(r.param("s"))
-    if r.op in _JOINS:
-        return _JOINS[r.op](*join_arguments(r)).graph
-    raise DomainError(f"unknown recipe operator {r.op!r}")
+    built = _CONSTRUCTORS[r.op](*join_arguments(r))
+    # a two-child construction returns its graph with the block maps
+    return built.graph if r.children else built
 
 
 def evaluate_text(text: str) -> Graph:

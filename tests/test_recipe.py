@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from snarkforge.errors import DomainError
@@ -47,6 +50,29 @@ def test_determinism(P):
     assert encode_graph6(evaluate_text(text)) == encode_graph6(evaluate_text(text))
 
 
+def _key_orders(text: str):
+    """Every spelling of ``text`` that permutes the key=value tokens
+    within each node, sub-recipes and bare words kept in place."""
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    # the token positions of each node's keys
+    nodes, stack = [], []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            nodes.append(stack.pop())
+        elif "=" in tok:
+            stack[-1].append(i)
+    for orders in itertools.product(
+        *(itertools.permutations(slots) for slots in nodes)
+    ):
+        spelled = list(tokens)
+        for slots, order in zip(nodes, orders):
+            for at, source in zip(slots, order):
+                spelled[at] = tokens[source]
+        yield " ".join(spelled)
+
+
 def test_format_round_trip():
     cases = [
         "(petersen)",
@@ -59,7 +85,18 @@ def test_format_round_trip():
     for text in cases:
         canonical = format_recipe(parse_recipe(text))
         assert format_recipe(parse_recipe(canonical)) == canonical
-        assert evaluate_text(canonical) == evaluate_text(text)
+        g = evaluate_text(canonical)
+        assert g == evaluate_text(text)
+        for spelled in _key_orders(text):
+            assert format_recipe(parse_recipe(spelled)) == canonical, spelled
+            assert evaluate_text(spelled) == g, spelled
+
+
+def test_pentagonjoin_keys_bind_in_order():
+    text = "(pentagonjoin (petersen) p=0 (petersen) rot=2 p=1)"
+    canonical = format_recipe(parse_recipe(text))
+    assert canonical == "(pentagonjoin (petersen) p=0 (petersen) p=1 rot=2)"
+    assert encode_graph6(evaluate_text(canonical)) == encode_graph6(evaluate_text(text))
 
 
 def test_formatting_normalizes_spacing():
@@ -98,6 +135,14 @@ def test_formatting_normalizes_spacing():
         "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=5)",
         "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=7)",
         "(pentagonjoin (petersen) p=0 (petersen) p=0 rot=-3)",
+        # unknown and repeated keys
+        "(flower 5 foo=3)",
+        "(petersen n=7)",
+        "(superpose52 (petersen) e=3 e=0 (petersen) u=0 v=6)",
+        "(pentagonjoin (petersen) p=0 (petersen) p=0 p=1)",
+        # a positional argument has no keyed spelling
+        "(flower n=5)",
+        "(graph6 s=I????????)",
     ],
 )
 def test_bad_recipes_rejected(bad):
