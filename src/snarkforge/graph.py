@@ -247,8 +247,9 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
     ref = resolve_edge(g, e)
     if not is_cubic(g):
         raise DomainError("edge smoothing requires a cubic graph")
-    gval = girth(g)
-    if gval is None or gval < 4:
+    # a cubic graph has girth at least 4 exactly when no edge is on a triangle
+    nbr = [frozenset(g.neighbors(x)) for x in range(g.n)]
+    if any(nbr[a] & nbr[b] for a, b in g.edges):
         raise DomainError("edge smoothing requires girth at least 4")
     u, v = ref.pair
     t1, t2 = (w for w in g.neighbors(u) if w != v)
@@ -384,26 +385,26 @@ def is_hamiltonian(g: Graph) -> bool:
 # -- cyclic edge connectivity ------------------------------------------
 
 
-def _violating_with_one_more(
-    adj: Sequence[tuple[tuple[int, int], ...]], removed: Sequence[bool]
+def _violating_with_more(
+    adj: Sequence[tuple[tuple[int, int], ...]], removed: Sequence[bool], more: int
 ) -> bool:
-    """Does removing the flagged edges, plus at most one more edge, leave
-    two components that each contain a cycle?
+    """Does removing the flagged edges S, plus at most ``more`` (1 or 2)
+    further edges, leave two components that each contain a cycle?
 
-    One iterative lowlink DFS over G - S (S the flagged edges) records each
-    component's vertex and edge counts, each DFS subtree's vertex and
-    degree sums, and the bridges.  Removing a non-bridge b cannot raise the
-    number of cyclic components, and removing a bridge raises it by at most
-    one, so S + b violates exactly when G - S already has two cyclic
-    components or b is a bridge of a cyclic component with a cycle on both
-    sides.  A side keeps a cycle when it has at least as many inner edges
-    as vertices.
+    One iterative DFS over G - S records each component's vertex and edge
+    counts, each DFS subtree's vertex and degree sums, and the cycle-space
+    label ``lab[v]`` of the tree edge into v: the XOR of the bits ``1 << f``
+    of the non-tree edges f with one end in v's subtree.  A bridge (label
+    0) or a cut pair (equal labels; see ``cyclically_edge_connected_at_least``)
+    cuts off a subtree, or a subtree minus a deeper one, whose vertex and
+    inner edge counts are differences of those sums.  A side keeps a cycle
+    when it has at least as many inner edges as vertices.
     """
     n = len(adj)
     disc = [0] * n  # discovery time, 0 while unvisited
-    low = [0] * n
     size = [1] * n  # vertices in the DFS subtree
     deg = [0] * n  # degree sum over the DFS subtree
+    lab = [0] * n  # cycle-space label of the tree edge into each vertex
     clock = 0
     cyclic = 0
     for root in range(n):
@@ -411,8 +412,9 @@ def _violating_with_one_more(
             continue
         first = clock + 1
         clock = first
-        disc[root] = low[root] = clock
+        disc[root] = clock
         bridges = []  # subtree roots hanging from a bridge
+        chains: dict[int, list[int]] = {}  # label -> tree edges, deepest first
         # entries: vertex, the edge it was reached by, its adjacency iterator
         stack = [(root, -1, iter(adj[root]))]
         while stack:
@@ -424,22 +426,22 @@ def _violating_with_one_more(
                 if e == via:
                     continue
                 if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    lab[v] ^= 1 << e
                 else:
                     clock += 1
-                    disc[w] = low[w] = clock
+                    disc[w] = clock
                     stack.append((w, e, iter(adj[w])))
                     break
             else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
                     size[p] += size[v]
                     deg[p] += deg[v]
-                    if low[v] > disc[p]:
+                    if lab[v]:
+                        lab[p] ^= lab[v]
+                        chains.setdefault(lab[v], []).append(v)
+                    else:
                         bridges.append(v)
         comp_v = clock - first + 1
         comp_e = deg[root] // 2
@@ -448,11 +450,27 @@ def _violating_with_one_more(
         cyclic += 1
         if cyclic >= 2:
             return True
+
+        def splits(side_v: int, side_e: int, cut: int) -> bool:
+            # both the side and the rest of the component keep a cycle
+            return side_e >= side_v and comp_e - cut - side_e >= comp_v - side_v
+
         for c in bridges:
             # the bridge is the only edge leaving c's subtree
-            inner = (deg[c] - 1) // 2
-            if inner >= size[c] and comp_e - 1 - inner >= comp_v - size[c]:
+            if splits(size[c], (deg[c] - 1) // 2, 1):
                 return True
+        if more == 1:
+            continue
+        for label, chain in chains.items():
+            # a one-bit label is also carried by that bit's non-tree edge
+            tree_and_back = not label & (label - 1)
+            # one root path, so each vertex is an ancestor of the earlier ones
+            for j, a in enumerate(chain):
+                if tree_and_back and splits(size[a], (deg[a] - 2) // 2, 2):
+                    return True
+                for b in chain[:j]:
+                    if splits(size[a] - size[b], (deg[a] - deg[b] - 2) // 2, 2):
+                        return True
     return False
 
 
@@ -469,10 +487,36 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     cycle, since at most one of the vertex's edges stays inside).  So some
     smallest violating set has no two edges sharing a vertex.
 
-    Only matchings of at most n-2 edges are enumerated; the last edge of a
-    violating matching is found by bridge-finding (Tarjan 1974) over G - S,
-    since removing it must split one cyclic component into two.  See
-    ``_violating_with_one_more``.
+    Cut-pair lemma.  Fix a DFS forest of a graph H and label each edge by
+    the set of fundamental cycles through it: a non-tree edge by its own
+    cycle, a tree edge by the cycles of the non-tree edges leaving the
+    subtree below it.  An edge set F is an edge cut iff it meets every
+    cycle an even number of times; the cycle space is spanned by the
+    fundamental cycles, so that parity check over them is enough.  Hence
+    {x} is a cut (a bridge) iff x's label is empty, and two non-bridges
+    {x, y} form a cut iff their labels are equal: removing them splits
+    their component into exactly two parts.  DFS non-tree edges join a
+    vertex to an ancestor, so tree edges sharing a nonempty label lie on
+    one root path, and no two non-tree edges share one.  A cut pair of two
+    tree edges into a above b therefore cuts off subtree(a) - subtree(b),
+    and a tree edge into a paired with a non-tree edge cuts off subtree(a).
+    (Tarjan 1974 finds bridges by the same subtree bookkeeping.)
+
+    Completeness.  Let T be a smallest violating matching, |T| <= n-1, and
+    S any |T|-2 of its edges (S empty when |T| <= 2): a matching of at most
+    n-3 edges, so the enumeration visits it.  If T is empty, G has two
+    cyclic components.  Otherwise G - S has exactly one cyclic component C
+    (T is smallest), which holds both cycles of G - T, so the last edges
+    R = T - S lie in C (an edge outside C could be kept).  If R = {x}, x is
+    a bridge of C with a cycle on each side.  If R = {x, y} and x is a
+    bridge of C, then either y is a bridge too, and of the three parts of
+    C - x - y, joined in a path, one bridge alone separates two cyclic
+    ones, or y lies on a cycle of C - x and x alone separates the two
+    cycles; both contradict the choice of T.  So x and y are non-bridges
+    that disconnect C: a cut pair of C with a cycle on each side.
+    ``_violating_with_more`` finds such a last bridge or cut pair in one DFS
+    per enumerated matching; at level 2 only the empty matching is
+    enumerated and the last edge is a bridge.
     """
     if n < 2:
         raise DomainError("connectivity level must be at least 2")
@@ -486,9 +530,10 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     adj = [tuple(zip(g.neighbors(x), g.incident_edges(x))) for x in range(g.n)]
     removed = [False] * g.m
     used = [False] * g.n
+    more = 1 if n == 2 else 2
 
     def rec(start: int, room: int) -> bool:
-        if _violating_with_one_more(adj, removed):
+        if _violating_with_more(adj, removed, more):
             return True
         if room == 0:
             return False
@@ -505,4 +550,4 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
                 return True
         return False
 
-    return not rec(0, n - 2)
+    return not rec(0, n - 1 - more)

@@ -3,15 +3,16 @@
 Nothing here shares code with the package internals: coloring counts come
 from one-factorization counting (cubic) or naive index-order backtracking
 (small quasi-cubic), two-factors come from perfect-matching complements,
-and cut checks enumerate every subset, or every matching with one
-union-find pass each (the package enumerates one edge fewer and finds the
-last one as a bridge).
+and cut checks enumerate every subset, every matching with one
+union-find pass each, or every matching one edge smaller with one
+bridge-finding DFS each (the package enumerates two edges fewer and finds
+the last two as a bridge or a cut pair).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import networkx as nx
 
@@ -216,6 +217,108 @@ def cyclic_connectivity_violated_by_matchings(g: Graph, max_cut: int) -> bool:
         return False
 
     return rec(0, max_cut)
+
+
+def _violating_with_one_more(
+    adj: Sequence[tuple[tuple[int, int], ...]], removed: Sequence[bool]
+) -> bool:
+    """Does removing the flagged edges, plus at most one more edge, leave
+    two components that each contain a cycle?
+
+    One iterative lowlink DFS over G - S (S the flagged edges) records each
+    component's vertex and edge counts, each DFS subtree's vertex and
+    degree sums, and the bridges.  Removing a non-bridge b cannot raise the
+    number of cyclic components, and removing a bridge raises it by at most
+    one, so S + b violates exactly when G - S already has two cyclic
+    components or b is a bridge of a cyclic component with a cycle on both
+    sides.  A side keeps a cycle when it has at least as many inner edges
+    as vertices.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery time, 0 while unvisited
+    low = [0] * n
+    size = [1] * n  # vertices in the DFS subtree
+    deg = [0] * n  # degree sum over the DFS subtree
+    clock = 0
+    cyclic = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        first = clock + 1
+        clock = first
+        disc[root] = low[root] = clock
+        bridges = []  # subtree roots hanging from a bridge
+        # entries: vertex, the edge it was reached by, its adjacency iterator
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, rest = stack[-1]
+            for w, e in rest:
+                if removed[e]:
+                    continue
+                deg[v] += 1
+                if e == via:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, e, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    size[p] += size[v]
+                    deg[p] += deg[v]
+                    if low[v] > disc[p]:
+                        bridges.append(v)
+        comp_v = clock - first + 1
+        comp_e = deg[root] // 2
+        if comp_e < comp_v:
+            continue
+        cyclic += 1
+        if cyclic >= 2:
+            return True
+        for c in bridges:
+            # the bridge is the only edge leaving c's subtree
+            inner = (deg[c] - 1) // 2
+            if inner >= size[c] and comp_e - 1 - inner >= comp_v - size[c]:
+                return True
+    return False
+
+
+def cyclic_connectivity_violated_by_bridges(g: Graph, max_cut: int) -> bool:
+    """Any matching of at most max_cut edges whose removal leaves two
+    components that each contain a cycle?  Every matching of at most
+    max_cut - 1 edges gets one lowlink DFS that finds the last edge as a
+    bridge (Tarjan 1974), one edge more than the package enumerates."""
+    adj = [tuple(zip(g.neighbors(x), g.incident_edges(x))) for x in range(g.n)]
+    removed = [False] * g.m
+    used = [False] * g.n
+
+    def rec(start: int, room: int) -> bool:
+        if _violating_with_one_more(adj, removed):
+            return True
+        if room == 0:
+            return False
+        for i in range(start, g.m):
+            u, v = g.edges[i]
+            if used[u] or used[v]:
+                continue
+            removed[i] = True
+            used[u] = used[v] = True
+            hit = rec(i + 1, room - 1)
+            removed[i] = False
+            used[u] = used[v] = False
+            if hit:
+                return True
+        return False
+
+    return rec(0, max_cut - 1)
 
 
 def hamiltonian_by_cycle_enumeration(g: Graph) -> bool:

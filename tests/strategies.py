@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from snarkforge.graph import Graph
 
@@ -31,3 +33,44 @@ def cubic_graphs(draw, max_n: int) -> Graph:
     if first + 4 <= max_n and draw(st.booleans()):
         parts.append((draw(st.sampled_from(range(4, max_n - first + 1, 2))), draw(seeds)))
     return random_cubic_union(parts)
+
+
+@st.composite
+def planted_cut_graphs(draw, max_side: int) -> Graph:
+    """Two random cubic graphs of order 4..max_side joined across a planted
+    cut of s = 2..6 edges, relabeled at random.
+
+    Each side frees s half-edges on s distinct vertices: for odd s it loses
+    one vertex, which frees its three neighbors, and then it loses random
+    disjoint edges away from the free vertices until s ends are free.  A
+    random bijection joins the free ends of one side to those of the
+    other; no vertex takes two cut edges, so no multiple edge arises.
+    """
+    s = draw(st.integers(2, 6))
+    sides = []
+    for _ in range(2):
+        order = draw(st.sampled_from(range(4, max_side + 1, 2)))
+        rng = random.Random(draw(seeds))
+        G = nx.random_regular_graph(3, order, seed=rng.randrange(2**32))
+        free: list[int] = []
+        if s % 2:
+            x = rng.randrange(order)
+            free += G.neighbors(x)
+            G.remove_node(x)
+        for u, v in rng.sample(sorted(G.edges()), G.number_of_edges()):
+            if len(free) == s:
+                break
+            if u not in free and v not in free:
+                G.remove_edge(u, v)
+                free += [u, v]
+        assume(len(free) == s)
+        sides.append((G, free))
+    (A, free_a), (B, free_b) = sides
+    relabel = draw(st.permutations(range(len(A) + len(B))))
+    name_a = dict(zip(sorted(A), relabel))
+    name_b = dict(zip(sorted(B), relabel[len(A):]))
+    pairs = [(name_a[u], name_a[v]) for u, v in A.edges()]
+    pairs += [(name_b[u], name_b[v]) for u, v in B.edges()]
+    cross = draw(st.permutations(free_b))
+    pairs += [(name_a[u], name_b[v]) for u, v in zip(free_a, cross)]
+    return Graph.from_edges(len(A) + len(B), pairs)

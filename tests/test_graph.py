@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    cyclic_connectivity_violated_by_bridges,
     cyclic_connectivity_violated_by_matchings,
     cyclic_connectivity_violated_exhaustive,
     hamiltonian_by_cycle_enumeration,
     has_two_disjoint_cycles_by_enumeration,
     to_nx,
 )
-from strategies import cubic_graphs
+from strategies import cubic_graphs, planted_cut_graphs
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
 from snarkforge.graph import (
     Cycle,
@@ -190,14 +191,23 @@ class TestContractRemovedEdge:
             assert not set(d1.pair) & set(d2.pair)
 
     def test_rejects_bad_hosts(self, K4, prism):
-        with pytest.raises(DomainError):
-            contract_removed_edge(K4, 0)  # girth 3
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(DomainError):
             contract_removed_edge(g, 0)  # not cubic
-        # the prism is cubic with girth 3
-        with pytest.raises(DomainError):
-            contract_removed_edge(prism, 0)
+        # K4 and the prism are cubic with girth 3, whichever edge is smoothed
+        for host in [K4, prism]:
+            for i in range(host.m):
+                with pytest.raises(DomainError, match="edge smoothing requires girth at least 4"):
+                    contract_removed_edge(host, i)
+
+    def test_cube_smooths_at_every_edge(self):
+        # Q3 has girth 4, the least that smoothing allows
+        q3 = Graph.from_edges(8, [(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
+        assert girth(q3) == 4
+        for i in range(q3.m):
+            reduced, d1, d2 = contract_removed_edge(q3, i)
+            assert reduced.n == 6 and is_cubic(reduced)
+            assert not set(d1.pair) & set(d2.pair)
 
 
 class TestHamiltonian:
@@ -286,20 +296,36 @@ def test_bridge_search_matches_matching_enumeration(g, level):
         assert mine == (not cyclic_connectivity_violated_exhaustive(g, level - 1))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(planted_cut_graphs(16))
+def test_cut_pairs_match_bridge_search_on_planted_cuts(g):
+    # each graph carries a cyclic cut of 2..6 edges, so violations occur at
+    # every level from 2 to 7
+    for level in range(2, 8):
+        violated = not cyclically_edge_connected_at_least(g, level)
+        assert violated == cyclic_connectivity_violated_by_bridges(g, level - 1), level
+        if g.n <= 24 and level <= 5:
+            assert violated == cyclic_connectivity_violated_by_matchings(g, level - 1), level
+
+
 CONNECTIVITY_PINS = (
     [(f"(flower {k})", level, True) for k in (5, 7, 9, 11) for level in (3, 4, 5)]
+    + [(f"(flower {k})", 4, True) for k in (13, 21)]
     + [(text, level, j == 0 or level < 5)
        for j, text in enumerate(superpose_chain_family(2)) for level in (3, 4, 5)]
 )
+# the matching enumeration takes 5 s or more on each of these
+SLOW_FOR_MATCHINGS = {
+    ("(flower 9)", 5), ("(flower 11)", 5), ("(flower 13)", 4), ("(flower 21)", 4)
+}
 
 
 @pytest.mark.parametrize("text,level,expected", CONNECTIVITY_PINS)
 def test_cyclic_connectivity_pins(text, level, expected):
     g = evaluate_text(text)
     assert cyclically_edge_connected_at_least(g, level) == expected
-    # the matching enumeration takes 10 s and 30 s on these two; their
-    # pins were computed by it
-    if (text, level) not in {("(flower 9)", 5), ("(flower 11)", 5)}:
+    assert cyclic_connectivity_violated_by_bridges(g, level - 1) == (not expected)
+    if (text, level) not in SLOW_FOR_MATCHINGS:
         assert cyclic_connectivity_violated_by_matchings(g, level - 1) == (not expected)
 
 
