@@ -17,7 +17,6 @@ from .graph import (
     Cycle,
     EdgeLike,
     Graph,
-    contract_removed_edge,
     cyclically_edge_connected_at_least,
     girth,
     is_cubic,
@@ -26,6 +25,7 @@ from .graph import (
     resolve_edge,
 )
 from .coloring import (
+    _smoothing,
     count_colorings,
     count_decompositions,
     enumerate_decompositions,
@@ -118,7 +118,7 @@ def verify_thm_3_3(g: Graph, e: EdgeLike) -> TheoremReport:
     every one of the nine (color(d1), color(d2)) cells is 2L, and d1, d2
     are orthogonal whenever the reduced graph is colorable."""
     ref = resolve_edge(g, e)
-    reduced, d1, d2 = contract_removed_edge(g, ref)
+    reduced, d1, d2 = _smoothing(g, ref)
     ned = count_decompositions(reduced)
     big_l = ned // 3
     same_class = sum(
@@ -154,7 +154,7 @@ def verify_thm_3_7(g: Graph, e: EdgeLike) -> TheoremReport:
     """The even-cover sum identity at a removed edge, plus the parity
     consequence: a non-Hamiltonian reduced graph forces an even psi."""
     ref = resolve_edge(g, e)
-    reduced, d1, d2 = contract_removed_edge(g, ref)
+    reduced, d1, d2 = _smoothing(g, ref)
     ned = count_decompositions(reduced)
     psi_val = ned // 3
     quantities = {"psi": psi_val, "ed_count": ned}
@@ -351,7 +351,7 @@ def condition_k(g: Graph, e: EdgeLike) -> bool:
         raise DomainError(
             "Condition K expects girth at least 5 and cyclic 4-edge-connectivity"
         )
-    reduced, d1, d2 = contract_removed_edge(g, e)
+    reduced, d1, d2 = _smoothing(g, e)
     if count_colorings(reduced) == 0:
         return False
     return are_orthogonal(reduced, d1, d2)

@@ -10,17 +10,26 @@ clash, in the style of Sekine-Imai-Tani frontier counting.  Counts
 for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
 depth-first.  The order is searched once per graph value, and a smoothed
-graph inherits its host's order.
+graph inherits its host's order; each step's extension table is built
+once per shape of the step and shared.
+
+A decomposition is counted as the one coloring with colors 1, 2, 3 on the
+edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
+elimination order, so the DP carries one color permutation, not six, from
+its first trivalent placement on; enumeration pins the lowest-label
+trivalent vertex, so its representatives do not depend on the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cache
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
+    EdgeRef,
     Graph,
     contract_removed_edge,
     is_quasi_cubic,
@@ -141,9 +150,33 @@ def _elimination_order(g: Graph) -> tuple[int, ...]:
     return order
 
 
+_Table = tuple[tuple[int, ...], ...]
+
+
+@cache
+def _extension_table(new: tuple[tuple[int, Optional[int]], ...]) -> _Table:
+    """table[used]: every packing of colors onto the new edges, given as
+    (slot shift, pin or None) pairs, that avoids the color bits in
+    ``used`` (bits 1-3; odd indexes repeat the even ones, so ``used``
+    indexes the table as it is) and honours the pins.  Built once per
+    key, which the frontier width and the three colors bound."""
+    table = []
+    for used in range(16):
+        combos = [(0, used)]
+        for sh, pin in new:
+            combos = [
+                (add | c << sh, u | 1 << c)
+                for add, u in combos
+                for c in (COLORS if pin is None else (pin,))
+                if not u >> c & 1
+            ]
+        table.append(tuple(add for add, _ in combos))
+    return tuple(table)
+
+
 def _placement_steps(
     g: Graph, fixed: Optional[dict[int, int]] = None
-) -> Iterator[tuple[list[int], list[tuple[int, int]], int, dict[int, list[int]]]]:
+) -> Iterator[tuple[list[int], list[tuple[int, int]], int, _Table]]:
     """The vertex placements both kernels walk, in elimination order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
@@ -152,7 +185,7 @@ def _placement_steps(
     vertex closes, the (edge, shift) pairs of the edges it opens, the mask
     that retires the known slots, and extend[used], every packing of
     colors onto the new edges that avoids the color bits in ``used``
-    (bits 1-3) and honours the pins in ``fixed``."""
+    and honours the pins in ``fixed`` (see _extension_table)."""
     fixed = fixed or {}
     placed = [False] * g.n
     slot: dict[int, int] = {}
@@ -169,17 +202,7 @@ def _placement_steps(
             else:
                 slot[i] = free.pop() if free else len(slot) + len(free)
                 new.append((i, 2 * slot[i]))
-        extend = {}
-        for used in range(0, 16, 2):
-            combos = [(0, used)]
-            for i, sh in new:
-                combos = [
-                    (add | c << sh, u | 1 << c)
-                    for add, u in combos
-                    for c in ((fixed[i],) if i in fixed else COLORS)
-                    if not u >> c & 1
-                ]
-            extend[used] = [add for add, _ in combos]
+        extend = _extension_table(tuple((sh, fixed.get(i)) for i, sh in new))
         yield known, new, ~sum(3 << sh for sh in known), extend
 
 
@@ -266,8 +289,11 @@ def enumerate_colorings(g: Graph) -> Iterator[EdgeColoring]:
         yield EdgeColoring(g, assign)
 
 
-def _decomposition_fixing(g: Graph) -> dict[int, int]:
-    pivot = next((v for v in range(g.n) if g.valence(v) == 3), None)
+def _decomposition_fixing(g: Graph, scan: Iterable[int]) -> dict[int, int]:
+    """Pins 1, 2, 3 on the edges of the first trivalent vertex in ``scan``.
+    Whichever trivalent vertex it is, each decomposition has exactly one
+    coloring with those pins."""
+    pivot = next((v for v in scan if g.valence(v) == 3), None)
     if pivot is None:
         raise DomainError("decomposition counting needs a trivalent vertex")
     e1, e2, e3 = g.incident_edges(pivot)
@@ -280,21 +306,30 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
 
     Counted by pinning the three colors at one trivalent vertex, which
     selects exactly one coloring per decomposition; no division by the 6
-    color permutations is ever performed.
+    color permutations is ever performed.  The pivot is the first
+    trivalent vertex of the elimination order, so the DP carries one color
+    permutation from where it starts rather than all six until it reaches
+    the pivot.
     """
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    return _count_frontier(g, _decomposition_fixing(g), node_budget)
+    pins = _decomposition_fixing(g, _elimination_order(g))
+    return _count_frontier(g, pins, node_budget)
 
 
 def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
-    """Yield one canonical coloring per decomposition (the representative
-    with the pinned colors at the first trivalent vertex)."""
+    """Yield one canonical coloring per decomposition: the representative
+    with colors 1, 2, 3 on the edges of the lowest-label trivalent vertex.
+
+    The pivot stays at the lowest label, not where the DP starts, so
+    which coloring represents a decomposition depends on the graph value
+    alone, never on the elimination order searched for it or inherited
+    from a host."""
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    for assign in _search_colorings(g, _decomposition_fixing(g)):
+    for assign in _search_colorings(g, _decomposition_fixing(g, range(g.n))):
         yield EdgeColoring(g, assign)
 
 
@@ -320,24 +355,28 @@ def parity_residual(g: Graph, coloring: EdgeColoring) -> int:
 # -- psi -------------------------------------------------------------------
 
 
-def smoothed_psi(
-    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
-) -> tuple[Optional[int], int]:
-    """Remove e, smooth its endpoints away and count the decompositions of
-    the smaller graph: (psi, that count), with psi None when the count is
-    not a multiple of 3, which only happens off the snark domain.
-
-    The smaller graph inherits g's elimination order, minus e's endpoints
-    and renumbered as delete_vertices does, so the order is searched once
-    per host rather than once per edge."""
+def _smoothing(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRef]:
+    """contract_removed_edge(g, e), with the smaller graph inheriting g's
+    elimination order, minus e's endpoints and renumbered as
+    contract_removed_edge does, so the order is searched once per host
+    rather than once per edge."""
     ref = resolve_edge(g, e)
-    reduced, _d1, _d2 = contract_removed_edge(g, ref)
+    reduced, d1, d2 = contract_removed_edge(g, ref)
     u, v = ref.pair
     inherited = tuple(
         w - (w > u) - (w > v) for w in _elimination_order(g) if w != u and w != v
     )
     object.__setattr__(reduced, "_elimination_order", inherited)
-    ned = count_decompositions(reduced, node_budget=node_budget)
+    return reduced, d1, d2
+
+
+def smoothed_psi(
+    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
+) -> tuple[Optional[int], int]:
+    """Remove e, smooth its endpoints away and count the decompositions of
+    the smaller graph: (psi, that count), with psi None when the count is
+    not a multiple of 3, which only happens off the snark domain."""
+    ned = count_decompositions(_smoothing(g, e)[0], node_budget=node_budget)
     return (None if ned % 3 else ned // 3), ned
 
 

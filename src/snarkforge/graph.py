@@ -258,10 +258,14 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
         raise DomainError("endpoint neighborhoods overlap; smoothing undefined")
     if g.has_edge(t1, t2) or g.has_edge(w1, w2):
         raise DomainError("smoothing would create a multiple edge")
-    smaller, mapping = delete_vertices(g, {u, v})
-    d1_pair = _normalize_pair(mapping[t1], mapping[t2])
-    d2_pair = _normalize_pair(mapping[w1], mapping[w2])
-    out = Graph.from_edges(smaller.n, list(smaller.edges) + [d1_pair, d2_pair])
+    # survivors keep their order, renumbered densely as delete_vertices does
+    new = [x - (x > u) - (x > v) for x in range(g.n)]
+    d1_pair = _normalize_pair(new[t1], new[t2])
+    d2_pair = _normalize_pair(new[w1], new[w2])
+    kept = [
+        (new[a], new[b]) for a, b in g.edges if a not in ref.pair and b not in ref.pair
+    ]
+    out = Graph.from_edges(g.n - 2, kept + [d1_pair, d2_pair])
     return out, out.edge_ref(out.edge_index(*d1_pair)), out.edge_ref(out.edge_index(*d2_pair))
 
 

@@ -2,7 +2,8 @@
 enumerated coloring on seeded random cubic graphs, and on subgraphs with
 a few edges deleted, must equal what the independent oracles (matching
 factorization, naive backtracking, explicit enumeration) report, and must
-not depend on the vertex labels; nor may the width of the kernel's
+not depend on the vertex labels, nor on the trivalent vertex where a
+decomposition count pins its colors; nor may the width of the kernel's
 elimination order."""
 
 import random
@@ -11,13 +12,16 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import strategies
 from oracles import (
     count_ec_by_factorization,
     count_ed_by_factorization,
     naive_colorings,
     naive_count_colorings,
+    to_nx,
 )
 from snarkforge.coloring import (
+    _count_frontier,
     _elimination_order,
     count_colorings,
     count_decompositions,
@@ -97,6 +101,30 @@ def test_quasi_cubic_counts_match_naive(G, seed):
     assert ec == 6 * ed == naive_count_colorings(g)
     h, _ = relabeled(g, seed)
     assert (count_colorings(h), count_decompositions(h)) == (ec, ed)
+
+
+@SETTINGS
+@given(strategies.cubic_graphs(16), st.booleans(), seeds)
+def test_decomposition_count_is_pivot_independent(g, quasi, seed):
+    # count_decompositions pins where its DP starts; any trivalent pivot
+    # selects one coloring per decomposition, so every pin site must agree
+    if quasi:
+        G = to_nx(g)
+        G.remove_edges_from(nx.find_cycle(G, source=random.Random(seed).randrange(g.n)))
+        g = to_graph(G)
+    assume(g.is_connected())
+    h, _ = relabeled(g, seed)
+    trivalent = [v for v in range(h.n) if h.valence(v) == 3]
+    assume(trivalent)
+    # decompositions first, colorings second, on the same slot shifts: a
+    # shared extension table that ignored the pins would break one of them
+    ed = count_decompositions(h)
+    ec = count_colorings(h)
+    assert 6 * ed == ec == naive_count_colorings(h)
+    if not quasi:
+        assert ed == count_ed_by_factorization(h)
+    for v in trivalent:
+        assert _count_frontier(h, dict(zip(h.incident_edges(v), (1, 2, 3)))) == ed
 
 
 @SETTINGS

@@ -200,6 +200,25 @@ class TestContractRemovedEdge:
                 with pytest.raises(DomainError, match="edge smoothing requires girth at least 4"):
                     contract_removed_edge(host, i)
 
+    def test_matches_two_step_construction(self, P):
+        # reference construction: delete_vertices, then a second graph
+        # with d1 and d2 added
+        def two_step(g, i):
+            u, v = g.edges[i]
+            t1, t2 = (w for w in g.neighbors(u) if w != v)
+            w1, w2 = (w for w in g.neighbors(v) if w != u)
+            smaller, mapping = delete_vertices(g, {u, v})
+            d1 = tuple(sorted((mapping[t1], mapping[t2])))
+            d2 = tuple(sorted((mapping[w1], mapping[w2])))
+            out = Graph.from_edges(smaller.n, list(smaller.edges) + [d1, d2])
+            return out, out.edge_ref(out.edge_index(*d1)), out.edge_ref(out.edge_index(*d2))
+
+        hosts = [P] + [flower(n) for n in (5, 7, 9)]
+        hosts += [evaluate_text(r) for r in superpose_chain_family(2)]
+        for g in hosts:
+            for i in range(g.m):
+                assert contract_removed_edge(g, i) == two_step(g, i)
+
     def test_cube_smooths_at_every_edge(self):
         # Q3 has girth 4, the least that smoothing allows
         q3 = Graph.from_edges(8, [(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
