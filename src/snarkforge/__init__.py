@@ -22,6 +22,7 @@ from .graph import (
     delete_vertices,
     find_cycles,
     girth,
+    hamiltonian_cycle_count,
     is_cubic,
     is_hamiltonian,
     is_quasi_cubic,

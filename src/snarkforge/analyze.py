@@ -234,6 +234,11 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     )
 
 
+# verify_thm_4_8 and verify_thm_5_3 check one surviving factor edge per
+# factor edge orbit, not every one, on a combined graph with more edges
+PER_ORBIT_ABOVE_EDGES = 60
+
+
 def _eligible_edges(res: JoinResult, factor: Graph, block: str) -> list[tuple[int, int]]:
     """Factor edges that survive into the combined graph's given block."""
     vmap = res.star_map if block == "star" else res.prime_map
@@ -270,7 +275,7 @@ def verify_thm_4_8(
         (gp, "prime", res.map_prime_edge, psi_ps),
     ):
         edges = _eligible_edges(res, factor, block)
-        if big.m > 60:
+        if big.m > PER_ORBIT_ABOVE_EDGES:
             edges = _per_orbit_reps(factor, edges)
         checked.append(len(edges))
         ok.append(all(
@@ -306,7 +311,7 @@ def verify_thm_5_3(
     big = res.graph
     psi_e = psi(gp, ref)
     pairs = _eligible_edges(res, gs, "star")
-    if big.m > 60:
+    if big.m > PER_ORBIT_ABOVE_EDGES:
         pairs = _per_orbit_reps(gs, pairs)
     ok = True
     details = []

@@ -3,19 +3,20 @@ pendant-edge parity residual, and the psi number of a snark edge.
 
 Colors are the three nonzero Klein-group elements (see klein.py).  One
 kernel serves counting and enumeration alike: it places the vertices in
-an elimination order, and each placement closes the edges back to placed
-vertices and extends the new ones over the colors (or pins) that do not
-clash, in the style of Sekine-Imai-Tani frontier counting.  Counts
-(colorings, decompositions, psi) fold those steps breadth-first, keeping
-for each coloring of the edges crossing the cut how many partial
+graph.frontier_order, the order of the 2-factor DP behind the cover sum
+and the Hamiltonian count too, and each placement closes the edges back
+to placed vertices and extends the new ones over the colors (or pins)
+that do not clash, in the style of Sekine-Imai-Tani frontier counting.
+Counts (colorings, decompositions, psi) fold those steps breadth-first,
+keeping for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
 depth-first.  The order is searched once per graph value, and a smoothed
-graph inherits its host's order; each step's extension table is built
-once per shape of the step and shared.
+graph inherits its host's order (``_smoothing``); each step's extension
+table is built once per shape of the step and shared.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
-elimination order, so the DP carries one color permutation, not six, from
+frontier order, so the DP carries one color permutation, not six, from
 its first trivalent placement on; enumeration pins the lowest-label
 trivalent vertex, so its representatives do not depend on the order.
 """
@@ -32,6 +33,7 @@ from .graph import (
     EdgeRef,
     Graph,
     contract_removed_edge,
+    frontier_order,
     is_quasi_cubic,
     pendant_edges,
     resolve_edge,
@@ -96,60 +98,6 @@ def _check_colorable_shape(g: Graph):
         raise DomainError("graph must be connected")
 
 
-def _greedy_order(
-    g: Graph, start: int, by_age: bool, bound: float
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """One greedy vertex order from ``start``: always place an unplaced
-    vertex with the most placed neighbours, ties going to the oldest
-    frontier edge (``by_age``) or else to the smaller label.  Returns
-    (sum of 3^|frontier| over the steps, order), or None once the sum
-    reaches ``bound``."""
-    placed = [False] * g.n
-    seen = [0] * g.n  # placed neighbours of each unplaced vertex
-    first = [0] * g.n  # step at which its oldest frontier edge appeared
-    cands: set[int] = set()
-    order: list[int] = []
-    width = cost = 0
-    key = (lambda w: (-seen[w], first[w], w)) if by_age else (lambda w: (-seen[w], w))
-    v = start
-    for step in range(g.n):
-        order.append(v)
-        placed[v] = True
-        cands.discard(v)
-        width += g.valence(v) - 2 * seen[v]
-        cost += 3**width
-        if cost >= bound:
-            return None
-        for w in g.neighbors(v):
-            if not placed[w]:
-                if not seen[w]:
-                    first[w] = step
-                    cands.add(w)
-                seen[w] += 1
-        if cands:
-            v = min(cands, key=key)
-    return cost, tuple(order)
-
-
-def _elimination_order(g: Graph) -> tuple[int, ...]:
-    """Vertex order for the frontier DP, computed once per graph value.
-
-    Greedy orders from every start vertex under both tie rules; the one
-    with the smallest sum of 3^|frontier| wins, which keeps the DP's
-    state count low whatever the vertex labels are."""
-    # getattr, not g.__dict__: reading __dict__ materializes it, which
-    # slows every later attribute read on the graph (CPython 3.11)
-    order = getattr(g, "_elimination_order", None)
-    if order is None:
-        best = (float("inf"), ())
-        for start in range(g.n):
-            for by_age in (True, False):
-                best = _greedy_order(g, start, by_age, best[0]) or best
-        order = best[1]
-        object.__setattr__(g, "_elimination_order", order)
-    return order
-
-
 _Table = tuple[tuple[int, ...], ...]
 
 
@@ -177,7 +125,7 @@ def _extension_table(new: tuple[tuple[int, Optional[int]], ...]) -> _Table:
 def _placement_steps(
     g: Graph, fixed: Optional[dict[int, int]] = None
 ) -> Iterator[tuple[list[int], list[tuple[int, int]], int, _Table]]:
-    """The vertex placements both kernels walk, in elimination order.
+    """The vertex placements both kernels walk, in graph.frontier_order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
     placed), packed two bits per slot into an int.  Each step yields
@@ -190,7 +138,7 @@ def _placement_steps(
     placed = [False] * g.n
     slot: dict[int, int] = {}
     free: list[int] = []
-    for v in _elimination_order(g):
+    for v in frontier_order(g):
         placed[v] = True
         known: list[int] = []
         new: list[tuple[int, int]] = []
@@ -307,14 +255,14 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     Counted by pinning the three colors at one trivalent vertex, which
     selects exactly one coloring per decomposition; no division by the 6
     color permutations is ever performed.  The pivot is the first
-    trivalent vertex of the elimination order, so the DP carries one color
+    trivalent vertex of the frontier order, so the DP carries one color
     permutation from where it starts rather than all six until it reaches
     the pivot.
     """
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
-    pins = _decomposition_fixing(g, _elimination_order(g))
+    pins = _decomposition_fixing(g, frontier_order(g))
     return _count_frontier(g, pins, node_budget)
 
 
@@ -324,8 +272,8 @@ def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
 
     The pivot stays at the lowest label, not where the DP starts, so
     which coloring represents a decomposition depends on the graph value
-    alone, never on the elimination order searched for it or inherited
-    from a host."""
+    alone, never on the frontier order searched for it or inherited from
+    a host."""
     _check_colorable_shape(g)
     if not is_quasi_cubic(g):
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
@@ -357,16 +305,16 @@ def parity_residual(g: Graph, coloring: EdgeColoring) -> int:
 
 def _smoothing(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRef]:
     """contract_removed_edge(g, e), with the smaller graph inheriting g's
-    elimination order, minus e's endpoints and renumbered as
+    frontier order, minus e's endpoints and renumbered as
     contract_removed_edge does, so the order is searched once per host
     rather than once per edge."""
     ref = resolve_edge(g, e)
     reduced, d1, d2 = contract_removed_edge(g, ref)
     u, v = ref.pair
     inherited = tuple(
-        w - (w > u) - (w > v) for w in _elimination_order(g) if w != u and w != v
+        w - (w > u) - (w > v) for w in frontier_order(g) if w != u and w != v
     )
-    object.__setattr__(reduced, "_elimination_order", inherited)
+    object.__setattr__(reduced, "_frontier_order", inherited)
     return reduced, d1, d2
 
 

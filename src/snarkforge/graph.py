@@ -1,6 +1,8 @@
 """Immutable simple-graph values and the structural operations the rest of
 the package builds on: vertex/edge deletion, the edge-smoothing surgery,
-girth, cycle listing, Hamiltonicity, and cyclic edge connectivity.
+girth, cycle listing, cyclic edge connectivity, the vertex order every
+frontier DP places vertices in, and the frontier DP over 2-factors that
+gives the even-cover sum (covers.py) and the Hamiltonian cycle count.
 
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
@@ -11,7 +13,8 @@ here mutates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import CyclicConnectivityUndefinedError, DomainError
 
@@ -338,52 +341,149 @@ def list_pentagons(g: Graph) -> list[Cycle]:
     return find_cycles(g, 5)
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    """True iff some cycle visits every vertex exactly once (backtracking).
+# -- frontier order and the 2-factor fold -----------------------------
 
-    Pruning: with the path ending at ``head`` and due back at vertex 0,
-    every unvisited vertex still needs two route neighbors drawn from the
-    unvisited set plus the two open endpoints, a necessary condition that
-    kills most dead branches early.
+
+def _greedy_order(
+    g: Graph, start: int, by_age: bool, bound: float
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """One greedy vertex order from ``start``: always place an unplaced
+    vertex with the most placed neighbours, ties going to the oldest
+    frontier edge (``by_age``) or else to the smaller label, and go on at
+    the smallest unplaced vertex when a component runs out.  Returns (sum
+    of 3^|frontier| over the steps, order), or None once the sum reaches
+    ``bound``."""
+    placed = [False] * g.n
+    seen = [0] * g.n  # placed neighbours of each unplaced vertex
+    first = [0] * g.n  # step at which its oldest frontier edge appeared
+    cands: set[int] = set()
+    order: list[int] = []
+    width = cost = 0
+    key = (lambda w: (-seen[w], first[w], w)) if by_age else (lambda w: (-seen[w], w))
+    v = start
+    for step in range(g.n):
+        order.append(v)
+        placed[v] = True
+        cands.discard(v)
+        width += g.valence(v) - 2 * seen[v]
+        cost += 3**width
+        if cost >= bound:
+            return None
+        for w in g.neighbors(v):
+            if not placed[w]:
+                if not seen[w]:
+                    first[w] = step
+                    cands.add(w)
+                seen[w] += 1
+        if cands:
+            v = min(cands, key=key)
+        elif step + 1 < g.n:
+            v = placed.index(False)
+    return cost, tuple(order)
+
+
+def frontier_order(g: Graph) -> tuple[int, ...]:
+    """The vertex order of every frontier DP (the coloring kernel and the
+    2-factor fold), searched once per graph value and stored on it as
+    ``_frontier_order``, where a smoothed graph is handed its host's.
+
+    Greedy orders from every start vertex under both tie rules; the one
+    with the smallest sum of 3^|frontier| wins.  Any vertex permutation
+    gives every DP the same value; the order sets the cost alone."""
+    # getattr, not g.__dict__: reading __dict__ materializes it, which
+    # slows every later attribute read on the graph (CPython 3.11)
+    order = getattr(g, "_frontier_order", None)
+    if order is None:
+        best = (float("inf"), ())
+        for start in range(g.n):
+            for by_age in (True, False):
+                best = _greedy_order(g, start, by_age, best[0]) or best
+        order = best[1]
+        object.__setattr__(g, "_frontier_order", order)
+    return order
+
+
+def two_factor_fold(
+    g: Graph, close: Callable[[int, bool], int], banned: Collection[int] = ()
+) -> int:
+    """Sum, over the 2-factors of g that avoid the ``banned`` edges, of the
+    product of the weights ``close`` gives their cycles, without listing
+    the factors.
+
+    Frontier DP over 2-factors (the mate-and-parity technique of Knuth's
+    SIMPATH, TAOCP 7.1.4, as generalised by Kawahara, Inoue, Iwashita and
+    Minato, IEICE Trans. Fundamentals 2017).  The vertices are placed in
+    frontier_order(g); a frontier edge has exactly one placed end.  A
+    state gives each frontier edge -1 when it is outside the factor, or
+    else 2 * mate + parity: the mate is the frontier edge at the other end
+    of its open path and the parity is that path's edge count mod 2.  Each
+    state maps to the summed weight of the partial factors reaching it.
+    A placed vertex takes exactly two factor edges, never a banned one:
+    with no factor edge coming in it opens a path of two edges, with one
+    it extends that path, and with two it joins their paths or, when the
+    two are mates, closes a cycle.  A closure multiplies the weight by
+    ``close(parity, last)``, the cycle's length mod 2 and whether the
+    vertex is the last of the order; 0 forbids it.
     """
-    n = g.n
-    if n < 3:
-        return False
-    if any(g.valence(v) < 2 for v in range(n)):
-        return False
-    neighbors = g._neighbors
-    nbr_sets = [frozenset(a) for a in neighbors]
-    visited = [False] * n
-    visited[0] = True
-    unvisited_deg = [g.valence(v) for v in range(n)]
-    for w in neighbors[0]:
-        unvisited_deg[w] -= 1
+    front: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for step, v in enumerate(frontier_order(g)):
+        inc = g.incident_edges(v)
+        at = {i: k for k, i in enumerate(front)}
+        closing = [(i, at[i]) for i in inc if i in at]
+        opening = [i for i in inc if i not in banned and i not in at]
+        keep = [k for k, i in enumerate(front) if i not in inc]
+        front = [front[k] for k in keep] + opening
+        pos = {i: k for k, i in enumerate(front)}
+        idle = [-1] * len(opening)
+        last = step == g.n - 1
+        nxt: dict[tuple[int, ...], int] = {}
+        for s, w in states.items():
+            ins = [(i, s[k]) for i, k in closing if s[k] >= 0]
+            base = [s[k] for k in keep] + idle
+            grown: list[list[int]] = []
+            if not ins:
+                for a, b in combinations(opening, 2):
+                    t = base[:]
+                    t[pos[a]], t[pos[b]] = 2 * b, 2 * a
+                    grown.append(t)
+            elif len(ins) == 1:
+                ((_x, c),) = ins
+                mate, par = c >> 1, (c & 1) ^ 1
+                for y in opening:
+                    t = base[:]
+                    t[pos[y]], t[pos[mate]] = 2 * mate + par, 2 * y + par
+                    grown.append(t)
+            elif len(ins) == 2:
+                (_x, cx), (y, cy) = ins
+                if cx >> 1 == y:
+                    factor = close(cx & 1, last)
+                    if factor:
+                        grown.append(base)
+                        w *= factor
+                else:
+                    mx, my, par = cx >> 1, cy >> 1, (cx ^ cy) & 1
+                    base[pos[mx]], base[pos[my]] = 2 * my + par, 2 * mx + par
+                    grown.append(base)
+            for t in grown:
+                key = tuple(t)
+                nxt[key] = nxt.get(key, 0) + w
+        states = nxt
+        if not states:
+            return 0
+    return states.get((), 0)
 
-    def feasible(head: int) -> bool:
-        for x in range(n):
-            if visited[x]:
-                continue
-            if unvisited_deg[x] + (x in nbr_sets[head]) + (x in nbr_sets[0]) < 2:
-                return False
-        return True
 
-    def extend(v: int, count: int) -> bool:
-        if count == n:
-            return 0 in nbr_sets[v]
-        for w in neighbors[v]:
-            if visited[w]:
-                continue
-            visited[w] = True
-            for x in neighbors[w]:
-                unvisited_deg[x] -= 1
-            if feasible(w) and extend(w, count + 1):
-                return True
-            for x in neighbors[w]:
-                unvisited_deg[x] += 1
-            visited[w] = False
-        return False
+def hamiltonian_cycle_count(g: Graph) -> int:
+    """Number of Hamiltonian cycles of g: the 2-factor fold with a cycle
+    allowed to close only at the last vertex of the order, so a counted
+    2-factor has one cycle, through every vertex."""
+    return two_factor_fold(g, lambda _parity, last: 1 if last else 0)
 
-    return extend(0, 1)
+
+def is_hamiltonian(g: Graph) -> bool:
+    """True iff some cycle visits every vertex exactly once."""
+    return g.n >= 3 and hamiltonian_cycle_count(g) > 0
 
 
 # -- cyclic edge connectivity ------------------------------------------

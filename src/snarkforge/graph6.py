@@ -45,32 +45,41 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chr(b) for b in out)
 
 
-def decode_graph6(text: str) -> Graph:
-    """Parse a graph6 string.  Malformed input raises Graph6ParseError
-    with the byte offset of the problem."""
+def _digit(s: str, pos: int) -> int:
+    b = ord(s[pos])
+    if not 63 <= b <= 126:
+        raise Graph6ParseError(f"invalid graph6 character {s[pos]!r}", pos)
+    return b - 63
+
+
+def _read_prefix(text: str) -> tuple[str, int, int]:
+    """(the string without header and surrounding whitespace, its vertex
+    count, the length of its size prefix)."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 string", 0)
-    data = []
-    for pos, ch in enumerate(s):
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise Graph6ParseError(f"invalid graph6 character {ch!r}", pos)
-        data.append(b - 63)
-    if data[0] < 63:
-        n, body = data[0], data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    elif len(data) >= 8:
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) | d
-        body = data[8:]
-    else:
+    width = 1 if s[0] != "~" else 4 if s[1:2] != "~" else 8
+    if len(s) < width:
         raise Graph6ParseError("truncated size prefix", len(s))
+    n = 0
+    for pos in range((width > 1) + (width > 4), width):
+        n = (n << 6) | _digit(s, pos)
+    return s, n, width
+
+
+def graph6_order(text: str) -> int:
+    """The vertex count of a graph6 string, read from its size prefix
+    alone: the body is neither decoded nor checked."""
+    return _read_prefix(text)[1]
+
+
+def decode_graph6(text: str) -> Graph:
+    """Parse a graph6 string.  Malformed input raises Graph6ParseError
+    with the byte offset of the problem."""
+    s, n, width = _read_prefix(text)
+    body = [_digit(s, pos) for pos in range(width, len(s))]
     if n == 0:
         raise Graph6ParseError("zero-vertex graph not supported", 0)
     nbits = n * (n - 1) // 2

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
-from .errors import BudgetExceededError, DomainError, LedgerIntegrityError
+from .errors import BudgetExceededError, DomainError, Graph6ParseError, LedgerIntegrityError
 from .graph import Graph, list_pentagons
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, graph6_order
 from .coloring import psi_with_counts
 from .isomorphism import edge_orbits
 from .analyze import certify_snark
@@ -162,13 +162,13 @@ class Ledger:
         """Witnesses for psi value n, smallest graph first, ties broken by
         recipe text."""
         hits = [r for r in self.psi_records() if r.psi == n]
-        return sorted(hits, key=lambda r: (decode_graph6(r.graph6).n, r.recipe))
+        return sorted(hits, key=lambda r: (graph6_order(r.graph6), r.recipe))
 
     def reverify(self, rec: PsiRecord) -> bool:
         """Rebuild the witness from its recipe and confirm the stored
         graph6 string and counts bit-identically.
 
-        Each recipe is built once per Ledger, so its graph's elimination
+        Each recipe is built once per Ledger, so its graph's frontier
         order is searched once however many records it has; the graph6
         comparison and the psi recount still run for every record."""
         g = self._witnesses.get(rec.recipe)
@@ -186,7 +186,7 @@ class Ledger:
             writer.writerow(["psi", "witness_vertices", "recipe"])
             for n in self.achieved():
                 best = self.query(n)[0]
-                writer.writerow([n, decode_graph6(best.graph6).n, best.recipe])
+                writer.writerow([n, graph6_order(best.graph6), best.recipe])
 
 
 # -- search harness -----------------------------------------------------
@@ -204,11 +204,15 @@ def evaluate_recipe_records(
     certification_level: int = 4,
 ) -> list[LedgerEntry]:
     """Build one recipe, certify it, and compute psi for one edge per
-    automorphism orbit.  Oversized or over-budget instances yield a single
-    truncation marker instead."""
+    automorphism orbit.  A recipe that does not parse or build, an
+    oversized instance and an over-budget count each yield a single
+    truncation marker instead, so one bad recipe never ends a search."""
     budget = budget or SearchBudget()
-    canonical = format_recipe(parse_recipe(recipe_text))
-    g = evaluate_text(canonical)
+    try:
+        canonical = format_recipe(parse_recipe(recipe_text))
+        g = evaluate_text(canonical)
+    except (DomainError, Graph6ParseError) as exc:
+        return [TruncationRecord(recipe_text, f"recipe: {exc}")]
     if g.m > budget.max_edges:
         return [TruncationRecord(canonical, f"edge count {g.m} over budget")]
     cert = certify_snark(g, certification_level)

@@ -3,15 +3,17 @@
 Nothing here shares code with the package internals: coloring counts come
 from one-factorization counting (cubic) or naive index-order backtracking
 (small quasi-cubic), two-factors come from perfect-matching complements,
-and cut checks enumerate every subset, every matching with one
+cut checks enumerate every subset, every matching with one
 union-find pass each, or every matching one edge smaller with one
 bridge-finding DFS each (the package enumerates two edges fewer and finds
-the last two as a bridge or a cut pair).
+the last two as a bridge or a cut pair), and Hamiltonian cycles come from
+path backtracking or from every vertex ordering (the package counts them
+with its frontier DP over 2-factors).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 import networkx as nx
@@ -319,6 +321,67 @@ def cyclic_connectivity_violated_by_bridges(g: Graph, max_cut: int) -> bool:
         return False
 
     return rec(0, max_cut - 1)
+
+
+def hamiltonian_by_backtracking(g: Graph) -> bool:
+    """True iff some cycle visits every vertex exactly once, by growing a
+    path from vertex 0 depth-first.
+
+    Pruning: with the path ending at ``head`` and due back at vertex 0,
+    every unvisited vertex still needs two route neighbors drawn from the
+    unvisited set plus the two open endpoints, a necessary condition that
+    kills most dead branches early.
+    """
+    n = g.n
+    if n < 3:
+        return False
+    if any(g.valence(v) < 2 for v in range(n)):
+        return False
+    neighbors = [g.neighbors(v) for v in range(n)]
+    nbr_sets = [frozenset(a) for a in neighbors]
+    visited = [False] * n
+    visited[0] = True
+    unvisited_deg = [g.valence(v) for v in range(n)]
+    for w in neighbors[0]:
+        unvisited_deg[w] -= 1
+
+    def feasible(head: int) -> bool:
+        for x in range(n):
+            if visited[x]:
+                continue
+            if unvisited_deg[x] + (x in nbr_sets[head]) + (x in nbr_sets[0]) < 2:
+                return False
+        return True
+
+    def extend(v: int, count: int) -> bool:
+        if count == n:
+            return 0 in nbr_sets[v]
+        for w in neighbors[v]:
+            if visited[w]:
+                continue
+            visited[w] = True
+            for x in neighbors[w]:
+                unvisited_deg[x] -= 1
+            if feasible(w) and extend(w, count + 1):
+                return True
+            for x in neighbors[w]:
+                unvisited_deg[x] += 1
+            visited[w] = False
+        return False
+
+    return extend(0, 1)
+
+
+def hamiltonian_cycles_by_permutations(g: Graph) -> int:
+    """Number of Hamiltonian cycles: every ordering of the vertices other
+    than 0 that closes a cycle through 0, halved for the two directions."""
+    if g.n < 3:
+        return 0
+    found = sum(
+        all(g.has_edge(a, b) for a, b in zip((0,) + rest, rest + (0,)))
+        for rest in permutations(range(1, g.n))
+    )
+    return found // 2
 
 
 def hamiltonian_by_cycle_enumeration(g: Graph) -> bool:

@@ -3,8 +3,8 @@ enumerated coloring on seeded random cubic graphs, and on subgraphs with
 a few edges deleted, must equal what the independent oracles (matching
 factorization, naive backtracking, explicit enumeration) report, and must
 not depend on the vertex labels, nor on the trivalent vertex where a
-decomposition count pins its colors; nor may the width of the kernel's
-elimination order."""
+decomposition count pins its colors; nor may the width of the
+kernel's vertex order (graph.frontier_order)."""
 
 import random
 
@@ -22,7 +22,6 @@ from oracles import (
 )
 from snarkforge.coloring import (
     _count_frontier,
-    _elimination_order,
     count_colorings,
     count_decompositions,
     enumerate_colorings,
@@ -30,7 +29,7 @@ from snarkforge.coloring import (
     psi,
 )
 from snarkforge.construct import flower, petersen
-from snarkforge.graph import Graph, contract_removed_edge, is_quasi_cubic
+from snarkforge.graph import Graph, contract_removed_edge, frontier_order, is_quasi_cubic
 from snarkforge.ledger import superpose_chain_family
 from snarkforge.recipe import evaluate_text
 
@@ -168,7 +167,7 @@ def test_psi_matches_enumeration_at_every_edge():
 def test_elimination_order_width(recipe, bound):
     g = evaluate_text(recipe)
     for h in [g] + [relabeled(g, seed)[0] for seed in (1, 2, 3)]:
-        order = _elimination_order(h)
+        order = frontier_order(h)
         assert sorted(order) == list(range(h.n))
         placed: set[int] = set()
         peak = 0

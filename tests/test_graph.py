@@ -1,16 +1,23 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    count_ec_by_factorization,
     cyclic_connectivity_violated_by_bridges,
     cyclic_connectivity_violated_by_matchings,
     cyclic_connectivity_violated_exhaustive,
+    hamiltonian_by_backtracking,
     hamiltonian_by_cycle_enumeration,
+    hamiltonian_cycles_by_permutations,
     has_two_disjoint_cycles_by_enumeration,
     to_nx,
 )
-from strategies import cubic_graphs, planted_cut_graphs
+from strategies import cubic_graphs, planted_cut_graphs, random_cubic_union, seeds
+from snarkforge.coloring import _count_frontier, count_decompositions
+from snarkforge.covers import even_cover_sum
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
 from snarkforge.graph import (
     Cycle,
@@ -20,7 +27,9 @@ from snarkforge.graph import (
     delete_edges,
     delete_vertices,
     find_cycles,
+    frontier_order,
     girth,
+    hamiltonian_cycle_count,
     is_cubic,
     is_hamiltonian,
     is_quasi_cubic,
@@ -246,6 +255,69 @@ class TestHamiltonian:
     def test_against_oracle(self, W, J5, prism):
         for g in [W, prism, J5]:
             assert is_hamiltonian(g) == hamiltonian_by_cycle_enumeration(g)
+
+    def test_counts(self, K4, prism, P):
+        k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        # the prism's 2-factor of two triangles is not a Hamiltonian cycle
+        assert [hamiltonian_cycle_count(g) for g in (K4, k33, prism, P)] == [3, 6, 3, 0]
+        assert hamiltonian_cycle_count(Graph(2, ((0, 1),))) == 0
+        assert not is_hamiltonian(Graph(1, ()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cubic_graphs(8))
+    def test_count_matches_brute_force(self, g):
+        assert hamiltonian_cycle_count(g) == hamiltonian_cycles_by_permutations(g)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(cubic_graphs(16))
+    def test_matches_backtracking(self, g):
+        assert is_hamiltonian(g) == hamiltonian_by_backtracking(g)
+
+
+def with_order(g: Graph, order) -> Graph:
+    """An equal graph value that the frontier DPs walk in ``order``."""
+    h = Graph(g.n, g.edges)
+    object.__setattr__(h, "_frontier_order", tuple(order))
+    return h
+
+
+@st.composite
+def graphs_with_orders(draw, max_n: int):
+    """A random cubic graph, possibly disconnected, a random vertex order
+    of it, and two distinct edges."""
+    g = draw(cubic_graphs(max_n))
+    order = draw(st.permutations(range(g.n)))
+    d1, d2 = draw(st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2, unique=True))
+    return g, order, d1, d2
+
+
+class TestFrontierOrder:
+    def test_disjoint_k4s_restart_at_smallest_unplaced(self, K4):
+        two = Graph.from_edges(8, list(K4.edges) + [(a + 4, b + 4) for a, b in K4.edges])
+        assert frontier_order(two) == tuple(range(8))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(range(4, 11, 2)), seeds), min_size=2, max_size=3),
+           st.integers(0, 3), seeds)
+    def test_permutation_on_disconnected_graphs(self, parts, isolated, seed):
+        g = random_cubic_union(parts)
+        perm = list(range(g.n + isolated))
+        random.Random(seed).shuffle(perm)
+        h = Graph.from_edges(g.n + isolated, [(perm[u], perm[v]) for u, v in g.edges])
+        assert sorted(frontier_order(h)) == list(range(h.n))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(graphs_with_orders(12))
+    def test_dps_agree_under_any_order(self, case):
+        # the order sets what a frontier DP costs, never what it counts
+        g, order, d1, d2 = case
+        h = with_order(g, order)
+        assert frontier_order(h) == tuple(order)
+        assert _count_frontier(h) == _count_frontier(g) == count_ec_by_factorization(g)
+        if g.is_connected():
+            assert count_decompositions(h) == count_decompositions(g)
+        assert even_cover_sum(h, d1, d2) == even_cover_sum(g, d1, d2)
+        assert hamiltonian_cycle_count(h) == hamiltonian_cycle_count(g)
 
 
 class TestCyclicConnectivity:

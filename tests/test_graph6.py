@@ -6,7 +6,7 @@ import pytest
 from oracles import to_nx
 from snarkforge.errors import Graph6ParseError
 from snarkforge.graph import Graph
-from snarkforge.graph6 import decode_graph6, encode_graph6, to_dot
+from snarkforge.graph6 import decode_graph6, encode_graph6, graph6_order, to_dot
 from snarkforge.isomorphism import is_isomorphic
 
 
@@ -52,6 +52,38 @@ def test_parse_errors_carry_offset():
         decode_graph6("")
     with pytest.raises(Graph6ParseError):
         decode_graph6("D?")  # truncated body
+
+
+@pytest.mark.parametrize(
+    "n, prefix",
+    [
+        (1, "@"),
+        (62, "}"),
+        (63, "~??~"),
+        (258047, "~}~~"),
+        (258048, "~~???~??"),
+        (68719476735, "~~~~~~~~"),
+    ],
+)
+def test_order_from_each_prefix_width(n, prefix):
+    # the prefix alone: the body is not read, so none is needed
+    assert graph6_order(prefix) == n
+    assert graph6_order(">>graph6<<" + prefix + "\n") == n
+
+
+def test_order_agrees_with_decode(P):
+    big = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
+    for g in (P, big):
+        s = encode_graph6(g)
+        assert graph6_order(s) == decode_graph6(s).n == g.n
+
+
+@pytest.mark.parametrize("text", ["", "~", "~?@", "~~", "~~???~?"])
+def test_truncated_prefix_is_a_parse_error(text):
+    with pytest.raises(Graph6ParseError):
+        graph6_order(text)
+    with pytest.raises(Graph6ParseError):
+        decode_graph6(text)
 
 
 def test_isomorphic_after_round_trip(P):

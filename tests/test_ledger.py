@@ -232,6 +232,26 @@ class TestSearch:
         assert list(search([], led)) == []
         assert led.achieved() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_recipe_yields_a_truncation_record(self, tmp_path, workers):
+        led = Ledger(str(tmp_path / "led.jsonl"))
+        family = ["(flower 5)", "(flower 4)", "(flower 7)"]
+        entries = list(search(family, led, workers=workers))
+        assert [e.recipe for e in entries] == ["(flower 5)"] * 4 + ["(flower 4)"] + ["(flower 7)"] * 4
+        bad = entries[4]
+        assert isinstance(bad, TruncationRecord)
+        assert bad.reason == "recipe: flower graphs need an odd order of at least 5"
+        assert [e.psi for e in entries[:4] + entries[5:]] == [
+            e.psi for e in evaluate_recipe_records("(flower 5)") + evaluate_recipe_records("(flower 7)")
+        ]
+        assert Ledger(led.path).entries == entries
+
+    def test_unparsable_recipe_keeps_its_text(self):
+        (rec,) = evaluate_recipe_records("(flower 5")
+        assert rec == TruncationRecord("(flower 5", "recipe: unclosed '(' in recipe")
+        (rec,) = evaluate_recipe_records("(graph6 !!!)")
+        assert rec.reason == "recipe: invalid graph6 character '!' (byte offset 0)"
+
     def test_parallel_workers_match_sequential(self, tmp_path):
         family = ["(petersen)", "(flower 5)", "(flower 7)"]
         seq = Ledger(str(tmp_path / "seq.jsonl"))
