@@ -28,14 +28,14 @@ from .coloring import (
     _smoothing,
     count_colorings,
     count_decompositions,
-    enumerate_decompositions,
+    count_same_class,
     psi,
     psi_with_counts,
 )
 from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
 from .covers import kaszonyi_sum_check
 from .isomorphism import edge_orbits
-from .kempe import are_orthogonal, color_pair_counts
+from .kempe import cocyclic_factor_count, color_pair_counts
 from .klein import COLORS
 
 
@@ -116,16 +116,17 @@ def verify_thm_3_3(g: Graph, e: EdgeLike) -> TheoremReport:
     """The triple-count identity at a removed edge: with L one third of
     the reduced graph's decomposition count, the d1~d2 class count is L,
     every one of the nine (color(d1), color(d2)) cells is 2L, and d1, d2
-    are orthogonal whenever the reduced graph is colorable."""
+    are orthogonal whenever the reduced graph is colorable.
+
+    Every quantity is a count of the coloring kernel under its own pins
+    (kempe.color_pair_counts, coloring.count_same_class); orthogonality
+    is the 2-factor count of kempe.cocyclic_factor_count, with the
+    decomposition count as the colorability witness."""
     ref = resolve_edge(g, e)
     reduced, d1, d2 = _smoothing(g, ref)
     ned = count_decompositions(reduced)
     big_l = ned // 3
-    same_class = sum(
-        1
-        for rep in enumerate_decompositions(reduced)
-        if rep.colors[d1.index] == rep.colors[d2.index]
-    )
+    same_class = count_same_class(reduced, (d1, d2))
     table = color_pair_counts(reduced, d1, d2)
     checks = [
         ("decomposition count is 3L", ned == 3 * big_l),
@@ -135,7 +136,9 @@ def verify_thm_3_3(g: Graph, e: EdgeLike) -> TheoremReport:
     ]
     colorable = ned > 0
     if colorable:
-        checks.append(("d1 and d2 orthogonal", are_orthogonal(reduced, d1, d2)))
+        checks.append(
+            ("d1 and d2 orthogonal", not cocyclic_factor_count(reduced, d1, d2))
+        )
     return TheoremReport(
         "3.3",
         f"edge {ref.index} {ref.pair}",
@@ -198,18 +201,23 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     """Pentagon identities: psi is constant on the pentagon (and on the
     whole connected pentagon union through it), removing the pentagon's
     edges leaves 5*psi decompositions, and each of the five same-class
-    pendant patterns accounts for exactly psi of them."""
+    pendant patterns accounts for exactly psi of them.
+
+    Pattern k is the class count (coloring.count_same_class) of the
+    pendant edges k-2, k and k+2.  The patterns exclude one another: the
+    five pendant colors sum to 0 in the Klein group, so when a triple
+    shares color x the other two pendants carry the two other colors.  The
+    five counts thus add up to the decompositions in which some spread
+    triple shares a class, and comparing that sum with the decomposition
+    count checks that every decomposition has one."""
     reduced, pendants = remove_pentagon(g, p)
     psis = [psi(g, (p.vertices[k], p.vertices[(k + 1) % 5])) for k in range(5)]
     psi_val = psis[0]
     ned = count_decompositions(reduced)
-    pattern_counts = [0] * 5
-    for rep in enumerate_decompositions(reduced):
-        cols = [rep.colors[pendants[k].index] for k in range(5)]
-        for k in range(5):
-            if cols[(k - 2) % 5] == cols[k] == cols[(k + 2) % 5]:
-                pattern_counts[k] += 1
-                break
+    pattern_counts = [
+        count_same_class(reduced, [pendants[(k + d) % 5] for d in (-2, 0, 2)])
+        for k in range(5)
+    ]
     union_comp = _pentagon_union_component(g, p)
     union_psis = {pair: psi(g, pair) for pair in sorted(union_comp)}
     checks = [
@@ -357,6 +365,6 @@ def condition_k(g: Graph, e: EdgeLike) -> bool:
             "Condition K expects girth at least 5 and cyclic 4-edge-connectivity"
         )
     reduced, d1, d2 = _smoothing(g, e)
-    if count_colorings(reduced) == 0:
+    if count_decompositions(reduced) == 0:
         return False
-    return are_orthogonal(reduced, d1, d2)
+    return not cocyclic_factor_count(reduced, d1, d2)

@@ -266,6 +266,31 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     return _count_frontier(g, pins, node_budget)
 
 
+def count_same_class(g: Graph, edges: Iterable[EdgeLike]) -> int:
+    """Number of decompositions that put all the given edges in one class.
+
+    Each decomposition is counted as its coloring pinned at
+    count_decompositions' pivot, with every given edge pinned as well, to
+    1, 2 and 3 in turn; a color that clashes with a pivot pin on the same
+    edge is skipped.  These pin sets differ from both count_decompositions'
+    and color_pair_counts', so a class count is its own count rather than
+    a sum or quotient of the others.
+    """
+    _check_colorable_shape(g)
+    if not is_quasi_cubic(g):
+        raise DomainError("decomposition counting is defined for quasi-cubic graphs")
+    indexes = [resolve_edge(g, e).index for e in edges]
+    if not indexes:
+        raise DomainError("a class count needs at least one edge")
+    pivot = _decomposition_fixing(g, frontier_order(g))
+    total = 0
+    for x in COLORS:
+        pins = dict(pivot)
+        if all(pins.setdefault(i, x) == x for i in indexes):
+            total += _count_frontier(g, pins)
+    return total
+
+
 def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
     """Yield one canonical coloring per decomposition: the representative
     with colors 1, 2, 3 on the edges of the lowest-label trivalent vertex.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .graph import Cycle, EdgeLike, Graph, is_cubic, resolve_edge, two_factor_fold
 from .coloring import count_decompositions
-from .kempe import are_orthogonal
+from .kempe import cocyclic_factor_count
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def even_cover_sum(h: Graph, d1: EdgeLike, d2: EdgeLike) -> int:
     if not is_cubic(h):
         raise DomainError("the cover sum is defined for cubic hosts")
     banned = {resolve_edge(h, d1).index, resolve_edge(h, d2).index}
-    return two_factor_fold(h, lambda parity, _last: 0 if parity else 2, banned)
+    return two_factor_fold(h, lambda parity, _last, _marks: 0 if parity else 2, banned)
 
 
 def kaszonyi_sum_check(
@@ -121,11 +121,15 @@ def kaszonyi_sum_check(
 
     Returns (lhs, rhs, equal).  The two sides come from independent
     routes: the coloring kernel's count, and the cover sum from
-    even_cover_sum's frontier DP over 2-factors.
+    even_cover_sum's frontier DP over 2-factors.  The count comes first
+    and is also the colorability witness that orthogonality needs
+    (kempe.are_orthogonal), so colorability is not counted twice.
     """
-    if not are_orthogonal(h, d1, d2):
-        raise DomainError("the marked edges must be orthogonal")
     lhs = count_decompositions(h)
+    if not lhs:
+        raise DomainError("host graph is uncolorable")
+    if cocyclic_factor_count(h, d1, d2):
+        raise DomainError("the marked edges must be orthogonal")
     total = even_cover_sum(h, d1, d2)
     if (3 * total) % 2:
         raise DomainError("cover sum is odd; identity inputs out of domain")

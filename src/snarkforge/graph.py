@@ -2,7 +2,8 @@
 the package builds on: vertex/edge deletion, the edge-smoothing surgery,
 girth, cycle listing, cyclic edge connectivity, the vertex order every
 frontier DP places vertices in, and the frontier DP over 2-factors that
-gives the even-cover sum (covers.py) and the Hamiltonian cycle count.
+gives the even-cover sum (covers.py), the orthogonality count (kempe.py)
+and the Hamiltonian cycle count.
 
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
@@ -404,27 +405,34 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
 
 
 def two_factor_fold(
-    g: Graph, close: Callable[[int, bool], int], banned: Collection[int] = ()
+    g: Graph,
+    close: Callable[[int, bool, int], int],
+    banned: Collection[int] = (),
+    marked: Collection[int] = (),
 ) -> int:
-    """Sum, over the 2-factors of g that avoid the ``banned`` edges, of the
-    product of the weights ``close`` gives their cycles, without listing
-    the factors.
+    """Sum, over the 2-factors of g that avoid the ``banned`` edges and
+    contain the ``marked`` ones, of the product of the weights ``close``
+    gives their cycles, without listing the factors.
 
     Frontier DP over 2-factors (the mate-and-parity technique of Knuth's
     SIMPATH, TAOCP 7.1.4, as generalised by Kawahara, Inoue, Iwashita and
     Minato, IEICE Trans. Fundamentals 2017).  The vertices are placed in
     frontier_order(g); a frontier edge has exactly one placed end.  A
     state gives each frontier edge -1 when it is outside the factor, or
-    else 2 * mate + parity: the mate is the frontier edge at the other end
-    of its open path and the parity is that path's edge count mod 2.  Each
-    state maps to the summed weight of the partial factors reaching it.
-    A placed vertex takes exactly two factor edges, never a banned one:
-    with no factor edge coming in it opens a path of two edges, with one
-    it extends that path, and with two it joins their paths or, when the
-    two are mates, closes a cycle.  A closure multiplies the weight by
-    ``close(parity, last)``, the cycle's length mod 2 and whether the
-    vertex is the last of the order; 0 forbids it.
+    else its path's mate, mark count and parity, packed as
+    ``span * mate + 2 * marks + parity``: the mate is the frontier edge at
+    the other end of its open path, the marks are the marked edges on
+    that path and the parity is its edge count mod 2.  Each state maps to
+    the summed weight of the partial factors reaching it.  A placed vertex
+    takes exactly two factor edges, never a banned one, and every marked
+    edge it opens: with no factor edge coming in it opens a path of two
+    edges, with one it extends that path, and with two it joins their
+    paths or, when the two are mates, closes a cycle.  A closure
+    multiplies the weight by ``close(parity, last, marks)``, the cycle's
+    length mod 2, whether the vertex is the last of the order, and the
+    marked edges on the cycle; 0 forbids it.
     """
+    span = 2 * len(marked) + 2  # the packed (marks, parity) pairs per mate
     front: list[int] = []
     states: dict[tuple[int, ...], int] = {(): 1}
     for step, v in enumerate(frontier_order(g)):
@@ -437,33 +445,40 @@ def two_factor_fold(
         pos = {i: k for k, i in enumerate(front)}
         idle = [-1] * len(opening)
         last = step == g.n - 1
+        # the ways to take k of the opened edges into the factor: each takes
+        # every marked one, so each adds the same packed mark count
+        must = {i for i in opening if i in marked}
+        picks = [[ys for ys in combinations(opening, k) if must <= set(ys)] for k in (1, 2)]
+        gain = 2 * len(must)
         nxt: dict[tuple[int, ...], int] = {}
         for s, w in states.items():
             ins = [(i, s[k]) for i, k in closing if s[k] >= 0]
             base = [s[k] for k in keep] + idle
             grown: list[list[int]] = []
             if not ins:
-                for a, b in combinations(opening, 2):
+                for a, b in picks[1]:
                     t = base[:]
-                    t[pos[a]], t[pos[b]] = 2 * b, 2 * a
+                    t[pos[a]], t[pos[b]] = span * b + gain, span * a + gain
                     grown.append(t)
             elif len(ins) == 1:
                 ((_x, c),) = ins
-                mate, par = c >> 1, (c & 1) ^ 1
-                for y in opening:
+                mate, tail = divmod(c, span)
+                tag = (tail ^ 1) + gain
+                for (y,) in picks[0]:
                     t = base[:]
-                    t[pos[y]], t[pos[mate]] = 2 * mate + par, 2 * y + par
+                    t[pos[y]], t[pos[mate]] = span * mate + tag, span * y + tag
                     grown.append(t)
-            elif len(ins) == 2:
+            elif len(ins) == 2 and not must:
                 (_x, cx), (y, cy) = ins
-                if cx >> 1 == y:
-                    factor = close(cx & 1, last)
+                (mx, tx), (my, ty) = divmod(cx, span), divmod(cy, span)
+                if mx == y:
+                    factor = close(tx & 1, last, tx >> 1)
                     if factor:
                         grown.append(base)
                         w *= factor
                 else:
-                    mx, my, par = cx >> 1, cy >> 1, (cx ^ cy) & 1
-                    base[pos[mx]], base[pos[my]] = 2 * my + par, 2 * mx + par
+                    tag = ((tx ^ ty) & 1) + 2 * ((tx >> 1) + (ty >> 1))
+                    base[pos[mx]], base[pos[my]] = span * my + tag, span * mx + tag
                     grown.append(base)
             for t in grown:
                 key = tuple(t)
@@ -478,7 +493,7 @@ def hamiltonian_cycle_count(g: Graph) -> int:
     """Number of Hamiltonian cycles of g: the 2-factor fold with a cycle
     allowed to close only at the last vertex of the order, so a counted
     2-factor has one cycle, through every vertex."""
-    return two_factor_fold(g, lambda _parity, last: 1 if last else 0)
+    return two_factor_fold(g, lambda _parity, last, _marks: 1 if last else 0)
 
 
 def is_hamiltonian(g: Graph) -> bool:

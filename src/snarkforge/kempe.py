@@ -4,14 +4,23 @@ orthogonality predicate for edge pairs of a colorable cubic graph.
 
 The chain API (kempe_chain_two_colors, kempe_chain, kempe_swap) works on
 any host of maximum valence 3, where a chain may be a path.  The
-orthogonality predicates take cubic hosts only, and there two facts make
-them cheap.  A color permutation pi maps every xy-cycle onto a
-pi(x)pi(y)-cycle with the same edges, so which edge sets are two-colored
-cycles is the same for all 6 colorings of a decomposition, and one pinned
-coloring per decomposition (enumerate_decompositions) stands for them all.
-And every vertex carries each color once, so each two-colored subgraph is
-2-regular: every chain is a cycle, walked from any of its edges by taking
-at each vertex the one edge of the other color.
+orthogonality predicates take cubic hosts only, where every vertex
+carries each color once, so each two-colored subgraph is 2-regular and
+every chain is a cycle, of even length because its colors alternate.
+
+Orthogonality is counted, not enumerated, by a 2-factor argument.  The
+two classes x, y of a coloring form an all-even 2-factor whose cycles are
+its xy-chains.  Conversely, an all-even 2-factor F gives a coloring whose
+{1, 2}-chains are exactly F's cycles: alternate 1 and 2 around each cycle
+and color the complement, a perfect matching, 3.  So d1 and d2 lie on a
+common two-colored cycle in some coloring iff some all-even 2-factor has
+both on one cycle, which are_orthogonal counts with graph.two_factor_fold
+(``cocyclic_factor_count``).  The census orthogonal_pairs still walks
+colorings: a color permutation pi maps every xy-cycle onto a
+pi(x)pi(y)-cycle with the same edges, so one pinned coloring per
+decomposition (enumerate_decompositions) stands for all six, and each
+cycle is walked by taking at each vertex the one edge of the other color.
+The color-pair table is nine pinned counts of the coloring kernel.
 """
 
 from __future__ import annotations
@@ -19,9 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import EdgeLike, Graph, is_cubic, resolve_edge
+from .graph import EdgeLike, Graph, is_cubic, resolve_edge, two_factor_fold
 from .klein import COLORS
-from .coloring import EdgeColoring, enumerate_colorings, enumerate_decompositions
+from .coloring import (
+    EdgeColoring,
+    _check_colorable_shape,
+    _count_frontier,
+    count_decompositions,
+    enumerate_decompositions,
+)
 
 
 @dataclass(frozen=True)
@@ -112,34 +127,48 @@ def _kempe_cycle(h: Graph, colors: tuple[int, ...], start: int, other: int) -> l
         v = sum(h.edges[e]) - v
 
 
+def cocyclic_factor_count(h: Graph, d1: EdgeLike, d2: EdgeLike) -> int:
+    """Number of all-even 2-factors of the cubic host h that hold d1 and
+    d2 on one cycle.  It is positive iff some coloring puts d1 and d2 on a
+    common two-colored cycle (see the module docstring), so on a
+    colorable host the pair is orthogonal iff it is 0, and a positive
+    count also shows the host colorable.
+
+    graph.two_factor_fold with d1 and d2 marked, so that every counted
+    factor contains both, and a closing rule that lets only an even cycle
+    close and gives weight 0 to a cycle that closes with exactly one
+    mark.  Defined for connected cubic hosts and two distinct edges.
+    """
+    if not is_cubic(h):
+        raise DomainError("orthogonality is defined for cubic hosts")
+    _check_colorable_shape(h)
+    i, j = resolve_edge(h, d1).index, resolve_edge(h, d2).index
+    if i == j:
+        raise DomainError("need two distinct edges")
+    return two_factor_fold(
+        h, lambda parity, _last, marks: 0 if parity or marks == 1 else 1, marked=(i, j)
+    )
+
+
 def are_orthogonal(h: Graph, d1: EdgeLike, d2: EdgeLike) -> bool:
     """True iff no coloring of h puts d1 and d2 on a common two-colored
     Kempe cycle.
 
-    Decided on one coloring per decomposition: a color permutation pi maps
-    each xy-cycle onto a pi(x)pi(y)-cycle with the same edges, so whether
-    d1 and d2 share one is the same for all 6 colorings of a
-    decomposition.  A cubic host's two-colored subgraphs are 2-regular, so
-    in each representative the cycle through d1 is walked directly, for
-    the pair {c(d1), c(d2)}, or, when the two colors are equal, for both
-    pairs that contain that color.
+    Such a coloring exists iff some all-even 2-factor of h holds d1 and d2
+    on one cycle: a coloring's two classes x, y form an all-even 2-factor
+    whose cycles are its xy-cycles, and an all-even 2-factor with d1 and
+    d2 on one cycle C gives the coloring that alternates 1 and 2 around
+    every cycle and colors the complement 3, in which C is a {1, 2}-cycle.
+    So the pair is orthogonal iff cocyclic_factor_count is 0 on a
+    colorable host.  Colorability is counted only then, since a positive
+    factor count already shows it.
 
-    Defined for colorable cubic hosts; an uncolorable host is a domain
-    error, as is d1 == d2.
+    Defined for connected colorable cubic hosts; an uncolorable host is a
+    domain error, as is d1 == d2.
     """
-    if not is_cubic(h):
-        raise DomainError("orthogonality is defined for cubic hosts")
-    i, j = resolve_edge(h, d1).index, resolve_edge(h, d2).index
-    if i == j:
-        raise DomainError("need two distinct edges")
-    seen_any = False
-    for rep in enumerate_decompositions(h):
-        seen_any = True
-        x, y = rep.colors[i], rep.colors[j]
-        others = (y,) if x != y else [z for z in COLORS if z != x]
-        if any(j in _kempe_cycle(h, rep.colors, i, z) for z in others):
-            return False
-    if not seen_any:
+    if cocyclic_factor_count(h, d1, d2):
+        return False
+    if not count_decompositions(h):
         raise DomainError("host graph is uncolorable")
     return True
 
@@ -148,20 +177,27 @@ def color_pair_counts(
     h: Graph, d1: EdgeLike, d2: EdgeLike
 ) -> dict[tuple[int, int], int]:
     """Table (x, y) -> number of colorings with d1 colored x and d2
-    colored y.  Keys cover all nine ordered color pairs."""
-    r1, r2 = resolve_edge(h, d1), resolve_edge(h, d2)
-    table = {(x, y): 0 for x in COLORS for y in COLORS}
-    for coloring in enumerate_colorings(h):
-        table[(coloring.colors[r1.index], coloring.colors[r2.index])] += 1
-    return table
+    colored y.  Keys cover all nine ordered color pairs.
+
+    Each cell is its own count of the coloring kernel with d1 pinned to x
+    and d2 to y.  No cell is copied from another across a color
+    permutation, which would make "all nine cells are equal" hold by
+    symmetry instead of by count."""
+    _check_colorable_shape(h)
+    i, j = resolve_edge(h, d1).index, resolve_edge(h, d2).index
+    return {
+        (x, y): _count_frontier(h, {i: x, j: y}) if i != j or x == y else 0
+        for x in COLORS
+        for y in COLORS
+    }
 
 
 def orthogonal_pairs(h: Graph) -> list[tuple[int, int]]:
     """All unordered pairs of orthogonal edges of a colorable cubic graph.
 
     One pass over one coloring per decomposition suffices, since a color
-    permutation keeps every two-colored cycle's edge set (see
-    are_orthogonal).  In each representative, each of the three color
+    permutation keeps every two-colored cycle's edge set (see the module
+    docstring).  In each representative, each of the three color
     pairs splits its edges into cycles, walked one at a time because the
     two-colored subgraph of a cubic host is 2-regular.  Every pair seen
     together on one cycle is struck out, and the survivors are orthogonal.

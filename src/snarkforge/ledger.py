@@ -49,15 +49,21 @@ class PsiRecord:
     version: str = __version__
     tags: tuple[str, ...] = ()
 
-    def validate(self) -> None:
+    def validate(self, edge_counts: Optional[dict[str, int]] = None) -> None:
+        """Check the record's invariants.  ``edge_counts`` maps the graph6
+        strings already decoded to their edge counts; a load hands every
+        record the same dict, so each distinct string is decoded once."""
         if self.psi * 18 != self.ec_count:
             raise DomainError(
                 f"psi {self.psi} inconsistent with coloring count {self.ec_count}"
             )
         if not isinstance(self.graph6, str):
             raise DomainError(f"graph6 {self.graph6!r} is not a string")
-        g = decode_graph6(self.graph6)
-        if not 0 <= self.edge_index < g.m:
+        if edge_counts is None:
+            edge_counts = {}
+        if self.graph6 not in edge_counts:
+            edge_counts[self.graph6] = decode_graph6(self.graph6).m
+        if not 0 <= self.edge_index < edge_counts[self.graph6]:
             raise DomainError(f"edge index {self.edge_index} invalid for stored graph")
 
 
@@ -101,7 +107,7 @@ _KINDS = {
 }
 
 
-def _line_to_entry(line: str, record_id: int) -> LedgerEntry:
+def _line_to_entry(line: str, record_id: int, edge_counts: dict[str, int]) -> LedgerEntry:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -121,7 +127,7 @@ def _line_to_entry(line: str, record_id: int) -> LedgerEntry:
         if cls is PsiRecord:
             payload["tags"] = tuple(payload.get("tags", ()))
             rec = PsiRecord(**payload)
-            rec.validate()
+            rec.validate(edge_counts)
             return rec
         return TruncationRecord(**payload)
     except (TypeError, DomainError, ValueError) as exc:
@@ -134,13 +140,15 @@ class Ledger:
     def __init__(self, path: str):
         self.path = path
         self.entries: list[LedgerEntry] = []
-        self._witnesses: dict[str, Graph] = {}  # recipe -> graph, for reverify
+        # recipe -> (graph, its graph6 string), for reverify
+        self._witnesses: dict[str, tuple[Graph, str]] = {}
+        edge_counts: dict[str, int] = {}  # graph6 -> edge count, for this load
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if line:
-                        self.entries.append(_line_to_entry(line, lineno))
+                        self.entries.append(_line_to_entry(line, lineno, edge_counts))
 
     def record(self, entry: LedgerEntry) -> int:
         """Append one entry; returns its 1-based record id."""
@@ -168,13 +176,14 @@ class Ledger:
         """Rebuild the witness from its recipe and confirm the stored
         graph6 string and counts bit-identically.
 
-        Each recipe is built once per Ledger, so its graph's frontier
-        order is searched once however many records it has; the graph6
-        comparison and the psi recount still run for every record."""
-        g = self._witnesses.get(rec.recipe)
-        if g is None:
-            g = self._witnesses[rec.recipe] = evaluate_text(rec.recipe)
-        if encode_graph6(g) != rec.graph6:
+        Each recipe is built and encoded once per Ledger, so its graph's
+        frontier order is searched once however many records it has; the
+        graph6 comparison and the psi recount still run for every record."""
+        if rec.recipe not in self._witnesses:
+            g = evaluate_text(rec.recipe)
+            self._witnesses[rec.recipe] = g, encode_graph6(g)
+        g, g6 = self._witnesses[rec.recipe]
+        if g6 != rec.graph6:
             return False
         psi_val, _ned, ec = psi_with_counts(g, rec.edge_index)
         return psi_val == rec.psi and ec == rec.ec_count

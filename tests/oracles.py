@@ -8,7 +8,11 @@ union-find pass each, or every matching one edge smaller with one
 bridge-finding DFS each (the package enumerates two edges fewer and finds
 the last two as a bridge or a cut pair), and Hamiltonian cycles come from
 path backtracking or from every vertex ordering (the package counts them
-with its frontier DP over 2-factors).
+with its frontier DP over 2-factors).  Orthogonality has two routes: the
+package's former decision by walking one coloring per decomposition
+(the one oracle here that calls package code, its enumerator and cycle
+walk), and a count of the matching complements that hold both edges on
+one even cycle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ from typing import Iterator, Sequence
 
 import networkx as nx
 
+from snarkforge.coloring import enumerate_decompositions
+from snarkforge.errors import DomainError
 from snarkforge.graph import Graph
+from snarkforge.kempe import _kempe_cycle
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -420,3 +427,36 @@ def cocyclic_pairs_by_naive_colorings(g: Graph) -> set[tuple[int, int]]:
                     idx = sorted(i for _, _, i in sub.edges(data="index"))
                     out.update(combinations(idx, 2))
     return out
+
+
+def orthogonal_by_decompositions(h: Graph, d1: int, d2: int) -> bool:
+    """Is no two-colored cycle through both edges in any coloring?  In one
+    coloring per decomposition (a color permutation keeps each
+    two-colored cycle's edge set), walk the cycle through d1 for the pair
+    {c(d1), c(d2)}, or for both pairs holding c(d1) when the two colors
+    are equal.  An uncolorable host is a DomainError."""
+    seen_any = False
+    for rep in enumerate_decompositions(h):
+        seen_any = True
+        x, y = rep.colors[d1], rep.colors[d2]
+        others = (y,) if x != y else [z for z in (1, 2, 3) if z != x]
+        if any(d2 in _kempe_cycle(h, rep.colors, d1, z) for z in others):
+            return False
+    if not seen_any:
+        raise DomainError("host graph is uncolorable")
+    return True
+
+
+def cocyclic_factors_by_matchings(g: Graph, d1: int, d2: int) -> int:
+    """Number of 2-factors (perfect matching complements) whose cycles are
+    all even and that hold both edges on one cycle."""
+    total = 0
+    for tf in two_factors_by_matching(g):
+        if d1 not in tf or d2 not in tf:
+            continue
+        cycles = cycle_split(g, tf)
+        if any(len(c) % 2 for c in cycles):
+            continue
+        (home,) = [c for c in cycles if g.edges[d1][0] in c]
+        total += g.edges[d2][0] in home
+    return total

@@ -24,12 +24,20 @@ from snarkforge.coloring import (
     _count_frontier,
     count_colorings,
     count_decompositions,
+    count_same_class,
     enumerate_colorings,
     enumerate_decompositions,
     psi,
 )
-from snarkforge.construct import flower, petersen
-from snarkforge.graph import Graph, contract_removed_edge, frontier_order, is_quasi_cubic
+from snarkforge.construct import flower, petersen, remove_pentagon
+from snarkforge.errors import DomainError
+from snarkforge.graph import (
+    Graph,
+    contract_removed_edge,
+    frontier_order,
+    is_quasi_cubic,
+    list_pentagons,
+)
 from snarkforge.ledger import superpose_chain_family
 from snarkforge.recipe import evaluate_text
 
@@ -175,3 +183,46 @@ def test_elimination_order_width(recipe, bound):
             placed.add(v)
             peak = max(peak, sum((a in placed) != (b in placed) for a, b in h.edges))
         assert peak <= bound
+
+
+def listed_class_count(g: Graph, edges) -> int:
+    """Decompositions, listed one coloring each, that give all the edges
+    one color."""
+    return sum(
+        len({rep.colors[i] for i in edges}) == 1 for rep in enumerate_decompositions(g)
+    )
+
+
+@SETTINGS
+@given(strategies.cubic_graphs(16), st.booleans(), st.integers(2, 3), seeds)
+def test_class_counts_match_enumeration(g, quasi, size, seed):
+    # a random pair or triple of edges, on cubic and quasi-cubic hosts;
+    # the edges may meet the pivot, whose pins then rule out colors
+    rng = random.Random(seed)
+    if quasi:
+        G = to_nx(g)
+        G.remove_edges_from(nx.find_cycle(G, source=rng.randrange(g.n)))
+        g = to_graph(G)
+    assume(g.is_connected() and any(g.valence(v) == 3 for v in range(g.n)))
+    edges = rng.sample(range(g.m), size)
+    assert count_same_class(g, edges) == listed_class_count(g, edges)
+
+
+def test_class_count_of_one_edge_is_the_decomposition_count(P):
+    h = contract_removed_edge(P, 0)[0]
+    assert count_same_class(h, [0]) == count_decompositions(h) == 3
+    with pytest.raises(DomainError):
+        count_same_class(h, [])
+
+
+@pytest.mark.parametrize(
+    "recipe", ["(petersen)", "(flower 5)", "(superpose52 (petersen) e=0 (petersen) u=0 v=6)"]
+)
+def test_pendant_triple_class_counts_match_enumeration(recipe):
+    # theorem 4.5's five spread triples of the stubs a pentagon leaves
+    g = evaluate_text(recipe)
+    for p in list_pentagons(g):
+        reduced, pendants = remove_pentagon(g, p)
+        for k in range(5):
+            triple = [pendants[(k + d) % 5].index for d in (-2, 0, 2)]
+            assert count_same_class(reduced, triple) == listed_class_count(reduced, triple)

@@ -16,8 +16,9 @@ from oracles import (
     to_nx,
 )
 from strategies import cubic_graphs, planted_cut_graphs, random_cubic_union, seeds
-from snarkforge.coloring import _count_frontier, count_decompositions
+from snarkforge.coloring import _count_frontier, count_decompositions, count_same_class
 from snarkforge.covers import even_cover_sum
+from snarkforge.kempe import cocyclic_factor_count
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
 from snarkforge.graph import (
     Cycle,
@@ -316,6 +317,9 @@ class TestFrontierOrder:
         assert _count_frontier(h) == _count_frontier(g) == count_ec_by_factorization(g)
         if g.is_connected():
             assert count_decompositions(h) == count_decompositions(g)
+            # the order also moves the pivot of a class count
+            assert count_same_class(h, (d1, d2)) == count_same_class(g, (d1, d2))
+            assert cocyclic_factor_count(h, d1, d2) == cocyclic_factor_count(g, d1, d2)
         assert even_cover_sum(h, d1, d2) == even_cover_sum(g, d1, d2)
         assert hamiltonian_cycle_count(h) == hamiltonian_cycle_count(g)
 

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import cocyclic_pairs_by_naive_colorings, naive_count_colorings
+from oracles import (
+    cocyclic_factors_by_matchings,
+    cocyclic_pairs_by_naive_colorings,
+    naive_count_colorings,
+    orthogonal_by_decompositions,
+)
+from snarkforge import kempe
 from snarkforge.errors import DomainError
 from snarkforge.graph import contract_removed_edge, delete_edges, list_pentagons
 from snarkforge.klein import A, B, C, COLORS
@@ -15,6 +21,7 @@ from snarkforge.recipe import evaluate_text
 from snarkforge.kempe import (
     KempeChain,
     are_orthogonal,
+    cocyclic_factor_count,
     color_pair_counts,
     kempe_chain,
     kempe_chain_two_colors,
@@ -172,20 +179,39 @@ class TestOrthogonality:
     def test_inserted_edges_orthogonal_at_every_orbit(self):
         # theorem 3.3: in a colorable smoothed snark the two inserted edges
         # are orthogonal; random pairs almost never are, so pin the
-        # positive cases on the library's own snarks
-        hosts = [petersen(), flower(5), flower(7), flower(9)]
+        # positive cases on the library's own snarks, where a fold that
+        # lets a one-mark cycle close or does not require the marked
+        # edges counts factors
+        hosts = [petersen(), flower(5), flower(7), flower(9), flower(11)]
         hosts += [evaluate_text(r) for r in list(superpose_chain_family(2))[1:]]
         colorable = 0
         for g in hosts:
             for orbit in edge_orbits(g):
                 reduced, d1, d2 = contract_removed_edge(g, orbit[0])
+                assert cocyclic_factor_count(reduced, d1, d2) == 0
                 if count_decompositions(reduced):
                     colorable += 1
                     assert are_orthogonal(reduced, d1, d2)
+                    assert orthogonal_by_decompositions(reduced, d1.index, d2.index)
                 else:
                     with pytest.raises(DomainError):
                         are_orthogonal(reduced, d1, d2)
-        assert colorable == 1 + 4 + 4 + 4 + 17 + 25
+        assert colorable == 1 + 4 + 4 + 4 + 4 + 17 + 25
+
+    @pytest.mark.parametrize("wiring", ["parallel", "crossed"])
+    def test_every_pair_of_dot_product_reductions(self, wiring):
+        # both dot products of two Petersen graphs, smoothed at edge 20:
+        # the fold decides every edge pair as the census walks them
+        dp = evaluate_text(
+            f"(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1 wiring={wiring})"
+        )
+        reduced, d1, d2 = contract_removed_edge(dp, 20)
+        census = set(orthogonal_pairs(reduced))
+        assert (min(d1.index, d2.index), max(d1.index, d2.index)) in census
+        for i in range(reduced.m):
+            for j in range(i + 1, reduced.m):
+                count = cocyclic_factor_count(reduced, i, j)
+                assert (count == 0) == ((i, j) in census) == are_orthogonal(reduced, i, j)
 
 
 @st.composite
@@ -229,7 +255,80 @@ class TestAgainstNaiveColorings:
         ]
 
 
+@st.composite
+def hosts_with_pairs(draw, max_n: int):
+    """A random cubic graph, possibly disconnected or uncolorable, and two
+    distinct edges of it, adjacent or not."""
+    g = draw(cubic_graphs(max_n))
+    d1, d2 = draw(st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2, unique=True))
+    return g, d1, d2
+
+
+class TestCocyclicFactorCount:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(hosts_with_pairs(14))
+    def test_matches_matchings_and_the_enumeration(self, case):
+        g, d1, d2 = case
+        if not g.is_connected():
+            with pytest.raises(DomainError):
+                are_orthogonal(g, d1, d2)
+            return
+        count = cocyclic_factor_count(g, d1, d2)
+        assert count == cocyclic_factors_by_matchings(g, d1, d2)
+        try:
+            expected = orthogonal_by_decompositions(g, d1, d2)
+        except DomainError:
+            assert count == 0
+            with pytest.raises(DomainError):
+                are_orthogonal(g, d1, d2)
+        else:
+            assert are_orthogonal(g, d1, d2) == expected == (count == 0)
+
+    def test_wheel_spokes_and_rim(self, W_parts):
+        W, spokes, rim = W_parts
+        assert cocyclic_factor_count(W, spokes[0], spokes[2]) == 0
+        # of the wheel's seven 2-factors, four Hamiltonian cycles and one
+        # pair of 4-cycles hold both rim edges on one cycle
+        assert cocyclic_factor_count(W, rim[0], rim[4]) == 5
+
+    def test_non_cubic_host_rejected(self, P):
+        reduced = remove_pentagon(P, list_pentagons(P)[0])[0]
+        with pytest.raises(DomainError):
+            cocyclic_factor_count(reduced, 0, 1)
+
+
 class TestColorPairCounts:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(hosts_with_pairs(16))
+    def test_cells_match_the_enumerated_table(self, case):
+        g, d1, d2 = case
+        if not g.is_connected():
+            with pytest.raises(DomainError):
+                color_pair_counts(g, d1, d2)
+            return
+        table = {(x, y): 0 for x in COLORS for y in COLORS}
+        for coloring in enumerate_colorings(g):
+            table[(coloring.colors[d1], coloring.colors[d2])] += 1
+        assert color_pair_counts(g, d1, d2) == table
+
+    def test_uncolorable_host_gives_zero_cells(self, P):
+        assert set(color_pair_counts(P, 0, 7).values()) == {0}
+
+    @pytest.mark.parametrize("cell", [(x, y) for x in COLORS for y in COLORS])
+    def test_each_cell_is_its_own_count(self, W_parts, monkeypatch, cell):
+        # a wrong count under one pin pair shows in that cell and in no
+        # other, so no cell is copied from another across a permutation
+        W, spokes, _ = W_parts
+        i, j = spokes[0].index, spokes[2].index
+        real = kempe._count_frontier
+
+        def faulty(g, fixed=None, node_budget=None):
+            return real(g, fixed, node_budget) + (fixed == {i: cell[0], j: cell[1]})
+
+        monkeypatch.setattr(kempe, "_count_frontier", faulty)
+        table = color_pair_counts(W, i, j)
+        assert table == {key: 2 + (key == cell) for key in table}
+
     def test_wheel_table_flat(self, W_parts):
         W, spokes, _ = W_parts
         table = color_pair_counts(W, spokes[0], spokes[2])

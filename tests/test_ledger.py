@@ -117,6 +117,22 @@ class TestLedgerStore:
         with pytest.raises(LedgerIntegrityError):
             Ledger(str(path))
 
+    @pytest.mark.parametrize("edge", [-1, 15])
+    def test_shared_graph6_still_checks_every_index(self, tmp_path, P, edge):
+        # a load decodes each graph6 string once; the record after the one
+        # that decoded it is still bound-checked and named by its line
+        lines = [
+            json.dumps({"kind": "psi", **asdict(make_record(P, edge=e)), "tags": []})
+            for e in (0, 3, edge)
+        ]
+        path = tmp_path / "led.jsonl"
+        path.write_text("\n".join(lines[:2]) + "\n")
+        assert [r.edge_index for r in Ledger(str(path)).psi_records()] == [0, 3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerIntegrityError) as err:
+            Ledger(str(path))
+        assert err.value.record_id == 3
+
     def test_query_prefers_smallest_witness(self, tmp_path, P, J5):
         led = Ledger(str(tmp_path / "led.jsonl"))
         big = PsiRecord(
