@@ -17,6 +17,7 @@ from .graph import (
     Cycle,
     EdgeLike,
     Graph,
+    contract_removed_edge,
     cyclically_edge_connected_at_least,
     girth,
     is_cubic,
@@ -25,7 +26,6 @@ from .graph import (
     resolve_edge,
 )
 from .coloring import (
-    _smoothing,
     count_colorings,
     count_decompositions,
     count_same_class,
@@ -123,7 +123,7 @@ def verify_thm_3_3(g: Graph, e: EdgeLike) -> TheoremReport:
     is the 2-factor count of kempe.cocyclic_factor_count, with the
     decomposition count as the colorability witness."""
     ref = resolve_edge(g, e)
-    reduced, d1, d2 = _smoothing(g, ref)
+    reduced, d1, d2 = contract_removed_edge(g, ref)
     ned = count_decompositions(reduced)
     big_l = ned // 3
     same_class = count_same_class(reduced, (d1, d2))
@@ -157,7 +157,7 @@ def verify_thm_3_7(g: Graph, e: EdgeLike) -> TheoremReport:
     """The even-cover sum identity at a removed edge, plus the parity
     consequence: a non-Hamiltonian reduced graph forces an even psi."""
     ref = resolve_edge(g, e)
-    reduced, d1, d2 = _smoothing(g, ref)
+    reduced, d1, d2 = contract_removed_edge(g, ref)
     ned = count_decompositions(reduced)
     psi_val = ned // 3
     quantities = {"psi": psi_val, "ed_count": ned}
@@ -182,19 +182,10 @@ def verify_thm_3_7(g: Graph, e: EdgeLike) -> TheoremReport:
 def _pentagon_union_component(g: Graph, p: Cycle) -> set[tuple[int, int]]:
     """Edges of the connected component containing p inside the union of
     all pentagons of g."""
-    union_edges: set[tuple[int, int]] = set()
-    for pent in list_pentagons(g):
-        union_edges.update(pent.edge_pairs())
-    comp = set(p.edge_pairs())
-    grew = True
-    while grew:
-        grew = False
-        verts = {v for pair in comp for v in pair}
-        for pair in union_edges - comp:
-            if pair[0] in verts or pair[1] in verts:
-                comp.add(pair)
-                grew = True
-    return comp
+    union = {pair for pent in list_pentagons(g) for pair in pent.edge_pairs()}
+    components = Graph.from_edges(g.n, union).components()
+    comp = set(next(c for c in components if p.vertices[0] in c))
+    return {pair for pair in union if pair[0] in comp}
 
 
 def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
@@ -211,15 +202,15 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     triple shares a class, and comparing that sum with the decomposition
     count checks that every decomposition has one."""
     reduced, pendants = remove_pentagon(g, p)
-    psis = [psi(g, (p.vertices[k], p.vertices[(k + 1) % 5])) for k in range(5)]
+    union_comp = _pentagon_union_component(g, p)
+    union_psis = {pair: psi(g, pair) for pair in sorted(union_comp)}
+    psis = [union_psis[pair] for pair in p.edge_pairs()]
     psi_val = psis[0]
     ned = count_decompositions(reduced)
     pattern_counts = [
         count_same_class(reduced, [pendants[(k + d) % 5] for d in (-2, 0, 2)])
         for k in range(5)
     ]
-    union_comp = _pentagon_union_component(g, p)
-    union_psis = {pair: psi(g, pair) for pair in sorted(union_comp)}
     checks = [
         ("psi constant on pentagon edges", len(set(psis)) == 1),
         ("pentagon-free decomposition count is 5*psi", ned == 5 * psi_val),
@@ -248,9 +239,14 @@ PER_ORBIT_ABOVE_EDGES = 60
 
 
 def _eligible_edges(res: JoinResult, factor: Graph, block: str) -> list[tuple[int, int]]:
-    """Factor edges that survive into the combined graph's given block."""
+    """Factor edges that survive into the combined graph's given block,
+    one per factor edge orbit once the combined graph has more than
+    PER_ORBIT_ABOVE_EDGES edges."""
     vmap = res.star_map if block == "star" else res.prime_map
-    return [(a, b) for a, b in factor.edges if a in vmap and b in vmap]
+    pairs = [(a, b) for a, b in factor.edges if a in vmap and b in vmap]
+    if res.graph.m > PER_ORBIT_ABOVE_EDGES:
+        return _per_orbit_reps(factor, pairs)
+    return pairs
 
 
 def _per_orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -283,8 +279,6 @@ def verify_thm_4_8(
         (gp, "prime", res.map_prime_edge, psi_ps),
     ):
         edges = _eligible_edges(res, factor, block)
-        if big.m > PER_ORBIT_ABOVE_EDGES:
-            edges = _per_orbit_reps(factor, edges)
         checked.append(len(edges))
         ok.append(all(
             psi(big, map_edge(factor, pair)) == psi(factor, pair) * pentagon_psi
@@ -319,8 +313,6 @@ def verify_thm_5_3(
     big = res.graph
     psi_e = psi(gp, ref)
     pairs = _eligible_edges(res, gs, "star")
-    if big.m > PER_ORBIT_ABOVE_EDGES:
-        pairs = _per_orbit_reps(gs, pairs)
     ok = True
     details = []
     for pair in pairs:
@@ -364,7 +356,7 @@ def condition_k(g: Graph, e: EdgeLike) -> bool:
         raise DomainError(
             "Condition K expects girth at least 5 and cyclic 4-edge-connectivity"
         )
-    reduced, d1, d2 = _smoothing(g, e)
+    reduced, d1, d2 = contract_removed_edge(g, e)
     if count_decompositions(reduced) == 0:
         return False
     return not cocyclic_factor_count(reduced, d1, d2)

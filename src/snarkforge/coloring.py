@@ -11,8 +11,8 @@ Counts (colorings, decompositions, psi) fold those steps breadth-first,
 keeping for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
 depth-first.  The order is searched once per graph value, and a smoothed
-graph inherits its host's order (``_smoothing``); each step's extension
-table is built once per shape of the step and shared.
+graph inherits its host's order (graph.contract_removed_edge); each
+step's extension table is built once per shape of the step and shared.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
-    EdgeRef,
     Graph,
     contract_removed_edge,
     frontier_order,
@@ -328,28 +327,13 @@ def parity_residual(g: Graph, coloring: EdgeColoring) -> int:
 # -- psi -------------------------------------------------------------------
 
 
-def _smoothing(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRef]:
-    """contract_removed_edge(g, e), with the smaller graph inheriting g's
-    frontier order, minus e's endpoints and renumbered as
-    contract_removed_edge does, so the order is searched once per host
-    rather than once per edge."""
-    ref = resolve_edge(g, e)
-    reduced, d1, d2 = contract_removed_edge(g, ref)
-    u, v = ref.pair
-    inherited = tuple(
-        w - (w > u) - (w > v) for w in frontier_order(g) if w != u and w != v
-    )
-    object.__setattr__(reduced, "_frontier_order", inherited)
-    return reduced, d1, d2
-
-
 def smoothed_psi(
     g: Graph, e: EdgeLike, node_budget: Optional[int] = None
 ) -> tuple[Optional[int], int]:
     """Remove e, smooth its endpoints away and count the decompositions of
     the smaller graph: (psi, that count), with psi None when the count is
     not a multiple of 3, which only happens off the snark domain."""
-    ned = count_decompositions(_smoothing(g, e)[0], node_budget=node_budget)
+    ned = count_decompositions(contract_removed_edge(g, e)[0], node_budget=node_budget)
     return (None if ned % 3 else ned // 3), ned
 
 

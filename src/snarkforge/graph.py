@@ -246,7 +246,9 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
 
     Returns the smaller cubic graph plus the two inserted edges d1 (from
     u's side) and d2 (from v's side).  Requires a cubic host with girth
-    at least 4, which is exactly what keeps the result simple.
+    at least 4, which is exactly what keeps the result simple.  The
+    smaller graph inherits the host's frontier_order, minus u and v and
+    renumbered, so the order is searched once per host, not per edge.
     """
     ref = resolve_edge(g, e)
     if not is_cubic(g):
@@ -270,6 +272,8 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
         (new[a], new[b]) for a, b in g.edges if a not in ref.pair and b not in ref.pair
     ]
     out = Graph.from_edges(g.n - 2, kept + [d1_pair, d2_pair])
+    inherited = tuple(new[x] for x in frontier_order(g) if x not in ref.pair)
+    object.__setattr__(out, "_frontier_order", inherited)
     return out, out.edge_ref(out.edge_index(*d1_pair)), out.edge_ref(out.edge_index(*d2_pair))
 
 

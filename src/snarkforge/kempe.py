@@ -18,9 +18,10 @@ both on one cycle, which are_orthogonal counts with graph.two_factor_fold
 (``cocyclic_factor_count``).  The census orthogonal_pairs still walks
 colorings: a color permutation pi maps every xy-cycle onto a
 pi(x)pi(y)-cycle with the same edges, so one pinned coloring per
-decomposition (enumerate_decompositions) stands for all six, and each
-cycle is walked by taking at each vertex the one edge of the other color.
-The color-pair table is nine pinned counts of the coloring kernel.
+decomposition (enumerate_decompositions) stands for all six.  The census
+and the chain API walk chains with one routine (``_chain_walk``), which
+takes at each vertex the one edge of the other color of the pair.  The
+color-pair table is nine pinned counts of the coloring kernel.
 """
 
 from __future__ import annotations
@@ -55,32 +56,54 @@ class KempeChain:
         return self.kind == "cycle"
 
 
+def _chain_walk(
+    g: Graph, colors: tuple[int, ...], start: int, pair: tuple[int, int]
+) -> tuple[list[int], tuple[int, ...]]:
+    """The chain of the proper coloring ``colors`` through edge ``start``
+    for the color pair ``pair``, on a host of maximum valence 3: (its
+    edges in the order walked, its sorted path ends, empty for a cycle).
+
+    From each vertex the walk takes the one edge of the pair's color that
+    it did not arrive by.  It leaves ``start`` through its second endpoint
+    and returns as soon as it comes back to ``start``; only on reaching a
+    path end does it walk out of the first endpoint as well."""
+    flip = pair[0] ^ pair[1]
+    edges = [start]
+    ends = []
+    for v in reversed(g.edges[start]):
+        e = start
+        while True:
+            want = colors[e] ^ flip
+            for e in g.incident_edges(v):
+                if colors[e] == want:
+                    break
+            else:
+                ends.append(v)
+                break
+            if e == start:
+                return edges, ()
+            edges.append(e)
+            v = sum(g.edges[e]) - v
+    return edges, tuple(sorted(ends))
+
+
 def kempe_chain_two_colors(
     coloring: EdgeColoring, x: int, y: int, seed: EdgeLike
 ) -> KempeChain:
     """The unique maximal connected xy-colored subgraph through the seed
-    edge, which must itself be colored x or y."""
+    edge, which must itself be colored x or y.  The coloring must be
+    proper: elsewhere a vertex may offer the walk two ways on."""
     if x == y or x not in COLORS or y not in COLORS:
         raise DomainError("need two distinct colors")
     g = coloring.graph
     ref = resolve_edge(g, seed)
     if coloring.colors[ref.index] not in (x, y):
         raise DomainError("seed edge does not carry either chain color")
-    pair = (x, y)
-    in_chain = {ref.index}
-    stack = [ref.index]
-    touched: dict[int, int] = {}  # vertex -> number of chain edges at it
-    while stack:
-        i = stack.pop()
-        for v in g.edges[i]:
-            touched[v] = touched.get(v, 0) + 1
-            for j in g.incident_edges(v):
-                if j not in in_chain and coloring.colors[j] in pair:
-                    in_chain.add(j)
-                    stack.append(j)
-    ends = tuple(sorted(v for v, cnt in touched.items() if cnt == 1))
+    if not coloring.is_proper():
+        raise DomainError("coloring is not proper")
+    edges, ends = _chain_walk(g, coloring.colors, ref.index, (x, y))
     kind = "path" if ends else "cycle"
-    return KempeChain(coloring, frozenset(pair), frozenset(in_chain), kind, ends)
+    return KempeChain(coloring, frozenset((x, y)), frozenset(edges), kind, ends)
 
 
 def kempe_chain(coloring: EdgeColoring, e: EdgeLike, y: int) -> KempeChain:
@@ -105,26 +128,6 @@ def kempe_swap(coloring: EdgeColoring, chain: KempeChain) -> EdgeColoring:
     if not swapped.is_proper():
         raise DomainError("chain is not a maximal two-colored chain of this coloring")
     return swapped
-
-
-def _kempe_cycle(h: Graph, colors: tuple[int, ...], start: int, other: int) -> list[int]:
-    """Edges of the cycle through ``start`` colored colors[start] and
-    ``other`` on a cubic host, in walk order: from each vertex the walk
-    takes the one edge of the color it did not arrive by, and it ends when
-    it comes back to ``start``."""
-    flip = colors[start] ^ other
-    want = colors[start]
-    cycle = [start]
-    v = h.edges[start][1]
-    while True:
-        want ^= flip
-        for e in h.incident_edges(v):
-            if colors[e] == want:
-                break
-        if e == start:
-            return cycle
-        cycle.append(e)
-        v = sum(h.edges[e]) - v
 
 
 def cocyclic_factor_count(h: Graph, d1: EdgeLike, d2: EdgeLike) -> int:
@@ -214,7 +217,7 @@ def orthogonal_pairs(h: Graph) -> list[tuple[int, int]]:
             for i in range(h.m):
                 if done >> i & 1 or rep.colors[i] not in (x, y):
                     continue
-                cycle = _kempe_cycle(h, rep.colors, i, x ^ y ^ rep.colors[i])
+                cycle, _ends = _chain_walk(h, rep.colors, i, (x, y))
                 mask = sum(1 << k for k in cycle)
                 done |= mask
                 for k in cycle:

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
-from .errors import BudgetExceededError, DomainError, Graph6ParseError, LedgerIntegrityError
+from .errors import BudgetExceededError, CountContradictionError, DomainError
+from .errors import Graph6ParseError, LedgerIntegrityError
 from .graph import Graph, list_pentagons
 from .graph6 import decode_graph6, encode_graph6, graph6_order
 from .coloring import psi_with_counts
@@ -49,18 +50,17 @@ class PsiRecord:
     version: str = __version__
     tags: tuple[str, ...] = ()
 
-    def validate(self, edge_counts: Optional[dict[str, int]] = None) -> None:
+    def validate(self, edge_counts: dict[str, int]) -> None:
         """Check the record's invariants.  ``edge_counts`` maps the graph6
-        strings already decoded to their edge counts; a load hands every
-        record the same dict, so each distinct string is decoded once."""
+        strings already decoded to their edge counts; a Ledger hands every
+        record it loads or appends the same dict, so each distinct string
+        is decoded once."""
         if self.psi * 18 != self.ec_count:
             raise DomainError(
                 f"psi {self.psi} inconsistent with coloring count {self.ec_count}"
             )
         if not isinstance(self.graph6, str):
             raise DomainError(f"graph6 {self.graph6!r} is not a string")
-        if edge_counts is None:
-            edge_counts = {}
         if self.graph6 not in edge_counts:
             edge_counts[self.graph6] = decode_graph6(self.graph6).m
         if not 0 <= self.edge_index < edge_counts[self.graph6]:
@@ -142,18 +142,18 @@ class Ledger:
         self.entries: list[LedgerEntry] = []
         # recipe -> (graph, its graph6 string), for reverify
         self._witnesses: dict[str, tuple[Graph, str]] = {}
-        edge_counts: dict[str, int] = {}  # graph6 -> edge count, for this load
+        self._edge_counts: dict[str, int] = {}  # graph6 -> edge count, for validate
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if line:
-                        self.entries.append(_line_to_entry(line, lineno, edge_counts))
+                        self.entries.append(_line_to_entry(line, lineno, self._edge_counts))
 
     def record(self, entry: LedgerEntry) -> int:
         """Append one entry; returns its 1-based record id."""
         if isinstance(entry, PsiRecord):
-            entry.validate()
+            entry.validate(self._edge_counts)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(_entry_to_line(entry) + "\n")
         self.entries.append(entry)
@@ -208,14 +208,14 @@ class SearchBudget:
 
 
 def evaluate_recipe_records(
-    recipe_text: str,
-    budget: Optional[SearchBudget] = None,
-    certification_level: int = 4,
+    recipe_text: str, budget: Optional[SearchBudget] = None
 ) -> list[LedgerEntry]:
     """Build one recipe, certify it, and compute psi for one edge per
     automorphism orbit.  A recipe that does not parse or build, an
-    oversized instance and an over-budget count each yield a single
-    truncation marker instead, so one bad recipe never ends a search."""
+    oversized instance, a graph that certification or psi rejects as
+    outside its domain, and an over-budget count each yield a single
+    truncation marker instead, after any psi records computed before it,
+    so one bad recipe never ends a search."""
     budget = budget or SearchBudget()
     try:
         canonical = format_recipe(parse_recipe(recipe_text))
@@ -224,14 +224,18 @@ def evaluate_recipe_records(
         return [TruncationRecord(recipe_text, f"recipe: {exc}")]
     if g.m > budget.max_edges:
         return [TruncationRecord(canonical, f"edge count {g.m} over budget")]
-    cert = certify_snark(g, certification_level)
+    try:
+        cert = certify_snark(g)
+    except DomainError as exc:
+        return [TruncationRecord(canonical, f"certification: {exc}")]
     g6 = encode_graph6(g)
     pentagon_edges = {
         g.edge_index(a, b) for p in list_pentagons(g) for a, b in p.edge_pairs()
     }
+    orbits = edge_orbits(g)
     out: list[LedgerEntry] = []
     try:
-        for orbit in edge_orbits(g):
+        for orbit in orbits:
             rep = orbit[0]
             t0 = time.perf_counter()
             psi_val, _ned, ec = psi_with_counts(g, rep, node_budget=budget.max_nodes)
@@ -250,6 +254,8 @@ def evaluate_recipe_records(
             )
     except BudgetExceededError as exc:
         out.append(TruncationRecord(canonical, str(exc)))
+    except (DomainError, CountContradictionError) as exc:
+        out.append(TruncationRecord(canonical, f"psi: {exc}"))
     return out
 
 

@@ -10,9 +10,13 @@ the last two as a bridge or a cut pair), and Hamiltonian cycles come from
 path backtracking or from every vertex ordering (the package counts them
 with its frontier DP over 2-factors).  Orthogonality has two routes: the
 package's former decision by walking one coloring per decomposition
-(the one oracle here that calls package code, its enumerator and cycle
+(the one oracle here that calls package code, its enumerator and chain
 walk), and a count of the matching complements that hold both edges on
-one even cycle.
+one even cycle.  Kempe chains come from a DFS over the two-colored edges
+that finds path ends by counting chain edges per vertex (the package
+walks the chain), and pentagon-union components from growing the
+pentagon's edge set until it is stable (the package takes a component of
+the pentagon-edge subgraph).
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from typing import Iterator, Sequence
 
 import networkx as nx
 
-from snarkforge.coloring import enumerate_decompositions
+from snarkforge.coloring import EdgeColoring, enumerate_decompositions
 from snarkforge.errors import DomainError
-from snarkforge.graph import Graph
-from snarkforge.kempe import _kempe_cycle
+from snarkforge.graph import Cycle, Graph, list_pentagons
+from snarkforge.kempe import kempe_chain_two_colors
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -440,7 +444,7 @@ def orthogonal_by_decompositions(h: Graph, d1: int, d2: int) -> bool:
         seen_any = True
         x, y = rep.colors[d1], rep.colors[d2]
         others = (y,) if x != y else [z for z in (1, 2, 3) if z != x]
-        if any(d2 in _kempe_cycle(h, rep.colors, d1, z) for z in others):
+        if any(d2 in kempe_chain_two_colors(rep, x, z, d1).edge_indexes for z in others):
             return False
     if not seen_any:
         raise DomainError("host graph is uncolorable")
@@ -460,3 +464,44 @@ def cocyclic_factors_by_matchings(g: Graph, d1: int, d2: int) -> int:
         (home,) = [c for c in cycles if g.edges[d1][0] in c]
         total += g.edges[d2][0] in home
     return total
+
+
+def chain_by_dfs(
+    coloring: EdgeColoring, x: int, y: int, seed: int
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """(edges, sorted path ends) of the xy-chain through the seed edge: a
+    DFS over the xy-colored edges, with the ends found as the vertices
+    that meet exactly one chain edge."""
+    g = coloring.graph
+    in_chain = {seed}
+    stack = [seed]
+    touched: dict[int, int] = {}  # vertex -> number of chain edges at it
+    while stack:
+        i = stack.pop()
+        for v in g.edges[i]:
+            touched[v] = touched.get(v, 0) + 1
+            for j in g.incident_edges(v):
+                if j not in in_chain and coloring.colors[j] in (x, y):
+                    in_chain.add(j)
+                    stack.append(j)
+    ends = tuple(sorted(v for v, cnt in touched.items() if cnt == 1))
+    return frozenset(in_chain), ends
+
+
+def pentagon_union_by_growth(g: Graph, p: Cycle) -> set[tuple[int, int]]:
+    """Edges of the component of the pentagon union through p, grown from
+    p's edges by adding every union edge that meets a vertex already
+    reached, until nothing is added."""
+    union_edges: set[tuple[int, int]] = set()
+    for pent in list_pentagons(g):
+        union_edges.update(pent.edge_pairs())
+    comp = set(p.edge_pairs())
+    grew = True
+    while grew:
+        grew = False
+        verts = {v for pair in comp for v in pair}
+        for pair in union_edges - comp:
+            if pair[0] in verts or pair[1] in verts:
+                comp.add(pair)
+                grew = True
+    return comp

@@ -1,12 +1,16 @@
 import networkx as nx
 import pytest
 
+from oracles import pentagon_union_by_growth
 from snarkforge.errors import DomainError
 from snarkforge.graph import Graph, contract_removed_edge, list_pentagons
 from snarkforge.construct import dot_product, flower, superpose_52
 from snarkforge.isomorphism import edge_orbits
 from snarkforge.kempe import orthogonal_pairs
+from snarkforge.ledger import superpose_chain_family
+from snarkforge.recipe import evaluate_text
 from snarkforge.analyze import (
+    _pentagon_union_component,
     certify_snark,
     condition_k,
     verify_thm_3_3,
@@ -104,6 +108,18 @@ class TestTheorem45:
             assert report.quantities["class_counts"] == [1, 1, 1, 1, 1]
             # every Petersen edge sits on a pentagon, all in one component
             assert report.quantities["union_component_size"] == 15
+
+    def test_union_component_matches_growth(self, P, J5):
+        # in the dot products a pentagon's component reaches pentagons
+        # that share no edge with it
+        hosts = [P, J5, flower(7)] + [evaluate_text(r) for r in superpose_chain_family(2)]
+        hosts += [
+            evaluate_text(f"(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1 wiring={w})")
+            for w in ("parallel", "crossed")
+        ]
+        for g in hosts:
+            for p in list_pentagons(g):
+                assert _pentagon_union_component(g, p) == pentagon_union_by_growth(g, p)
 
     def test_flower_pentagon(self, J5):
         report = verify_thm_4_5(J5, list_pentagons(J5)[0])

@@ -118,6 +118,17 @@ def test_record_and_import(capsys, tmp_path, P):
     assert code == 0 and "imported 1 record(s)" in out
 
 
+def test_import_file_with_a_graph_outside_psi_domain(capsys, tmp_path, P):
+    # the cube is cubic with girth 4, but its smoothings are not snark-like
+    led = str(tmp_path / "led.jsonl")
+    g6_file = tmp_path / "graphs.g6"
+    g6_file.write_text(f"Gr`HOk\n{encode_graph6(P)}\n")
+    code, out, _ = run(capsys, "import", "--file", str(g6_file), "--ledger", led)
+    assert code == 0
+    assert "truncated: psi: decomposition count 1" in out
+    assert "imported 2 record(s)" in out
+
+
 def test_ledger_env_var(capsys, tmp_path, monkeypatch):
     led = str(tmp_path / "env-led.jsonl")
     monkeypatch.setenv("SNARKFORGE_LEDGER", led)

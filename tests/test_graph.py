@@ -229,6 +229,16 @@ class TestContractRemovedEdge:
             for i in range(g.m):
                 assert contract_removed_edge(g, i) == two_step(g, i)
 
+    def test_smoothing_inherits_the_host_order(self, P):
+        # the host's order without e's endpoints, renumbered as
+        # delete_vertices renumbers the survivors
+        hosts = [P, flower(7)] + [evaluate_text(r) for r in superpose_chain_family(2)]
+        for g in hosts:
+            for i in range(g.m):
+                mapping = delete_vertices(g, g.edges[i])[1]
+                expected = tuple(mapping[w] for w in frontier_order(g) if w in mapping)
+                assert frontier_order(contract_removed_edge(g, i)[0]) == expected
+
     def test_cube_smooths_at_every_edge(self):
         # Q3 has girth 4, the least that smoothing allows
         q3 = Graph.from_edges(8, [(a, a | bit) for a in range(8) for bit in (1, 2, 4) if not a & bit])
@@ -322,6 +332,17 @@ class TestFrontierOrder:
             assert cocyclic_factor_count(h, d1, d2) == cocyclic_factor_count(g, d1, d2)
         assert even_cover_sum(h, d1, d2) == even_cover_sum(g, d1, d2)
         assert hamiltonian_cycle_count(h) == hamiltonian_cycle_count(g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["(petersen)", "(flower 5)", "(flower 7)",
+                            *list(superpose_chain_family(1))[1:]]), st.data())
+    def test_injected_order_propagates(self, recipe, data):
+        g = evaluate_text(recipe)
+        order = data.draw(st.permutations(range(g.n)))
+        i = data.draw(st.integers(0, g.m - 1))
+        reduced = contract_removed_edge(with_order(g, order), i)[0]
+        mapping = delete_vertices(g, g.edges[i])[1]
+        assert frontier_order(reduced) == tuple(mapping[w] for w in order if w in mapping)
 
 
 class TestCyclicConnectivity:

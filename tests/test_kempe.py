@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    chain_by_dfs,
     cocyclic_factors_by_matchings,
     cocyclic_pairs_by_naive_colorings,
     naive_count_colorings,
@@ -11,9 +12,15 @@ from oracles import (
 )
 from snarkforge import kempe
 from snarkforge.errors import DomainError
-from snarkforge.graph import contract_removed_edge, delete_edges, list_pentagons
+from snarkforge.graph import (
+    Graph,
+    contract_removed_edge,
+    delete_edges,
+    delete_vertices,
+    list_pentagons,
+)
 from snarkforge.klein import A, B, C, COLORS
-from snarkforge.coloring import count_decompositions, enumerate_colorings
+from snarkforge.coloring import EdgeColoring, count_decompositions, enumerate_colorings
 from snarkforge.construct import flower, petersen, remove_pentagon
 from snarkforge.isomorphism import edge_orbits
 from snarkforge.ledger import superpose_chain_family
@@ -92,6 +99,42 @@ class TestChains:
                 p.vertices[(k - 1) % 5],
                 p.vertices[(k - 2) % 5],
             }
+
+    def assert_walk_matches_dfs(self, coloring):
+        for x, y in ((1, 2), (1, 3), (2, 3)):
+            for i in range(coloring.graph.m):
+                if coloring.colors[i] not in (x, y):
+                    continue
+                chain = kempe_chain_two_colors(coloring, x, y, i)
+                edges, ends = chain_by_dfs(coloring, x, y, i)
+                assert chain.edge_indexes == edges
+                assert chain.endpoints == ends
+                assert chain.kind == ("path" if ends else "cycle")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cubic_graphs(14), st.lists(st.integers(0, 13), max_size=2, unique=True), st.data())
+    def test_walk_matches_dfs_on_random_colorings(self, g, drop, data):
+        # dropping vertices leaves a quasi-cubic host whose chains can be
+        # paths that end on either side of the seed
+        g = delete_vertices(g, [v for v in drop if v < g.n])[0]
+        assume(g.m and g.is_connected())
+        colorings = list(enumerate_colorings(g))
+        assume(colorings)
+        self.assert_walk_matches_dfs(data.draw(st.sampled_from(colorings)))
+
+    def test_walk_matches_dfs_on_pentagon_removed_petersen(self, P):
+        reduced, _ = remove_pentagon(P, list_pentagons(P)[0])
+        for coloring in enumerate_colorings(reduced):
+            self.assert_walk_matches_dfs(coloring)
+
+    def test_improper_coloring_rejected(self):
+        # at vertex 1 the walk could turn off its start edge onto a
+        # two-colored cycle it would never leave
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+        colors = [1] * g.m
+        colors[g.edge_index(1, 2)] = colors[g.edge_index(3, 4)] = 2
+        with pytest.raises(DomainError, match="not proper"):
+            kempe_chain_two_colors(EdgeColoring(g, tuple(colors)), 1, 2, (0, 1))
 
     def test_seed_must_carry_chain_color(self, W):
         coloring = next(enumerate_colorings(W))

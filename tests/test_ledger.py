@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from snarkforge import ledger as ledger_module
 from snarkforge.errors import DomainError, LedgerIntegrityError
 from snarkforge.graph import Graph
 from snarkforge.graph6 import decode_graph6, encode_graph6
@@ -132,6 +133,24 @@ class TestLedgerStore:
         with pytest.raises(LedgerIntegrityError) as err:
             Ledger(str(path))
         assert err.value.record_id == 3
+        # an append shares the decoded string with the records before it
+        led = Ledger(str(tmp_path / "appended.jsonl"))
+        led.record(make_record(P))
+        with pytest.raises(DomainError):
+            led.record(make_record(P, edge=edge))
+
+    def test_appends_decode_each_graph6_once(self, tmp_path, monkeypatch):
+        decoded = []
+
+        def counting_decode(text):
+            decoded.append(text)
+            return decode_graph6(text)
+
+        monkeypatch.setattr(ledger_module, "decode_graph6", counting_decode)
+        entries = list(search(superpose_chain_family(3), Ledger(str(tmp_path / "led.jsonl"))))
+        assert len(entries) == 88
+        assert sorted(decoded) == sorted({e.graph6 for e in entries})
+        assert len(decoded) == 4
 
     def test_query_prefers_smallest_witness(self, tmp_path, P, J5):
         led = Ledger(str(tmp_path / "led.jsonl"))
@@ -260,6 +279,26 @@ class TestSearch:
         assert [e.psi for e in entries[:4] + entries[5:]] == [
             e.psi for e in evaluate_recipe_records("(flower 5)") + evaluate_recipe_records("(flower 7)")
         ]
+        assert Ledger(led.path).entries == entries
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recipe_outside_the_domain_yields_a_truncation_record(self, tmp_path, workers):
+        # K4 has girth 3, so psi cannot smooth its edges; a triangle is not
+        # cubic; the cube's and W8's smoothings count decompositions that
+        # are not a multiple of 3
+        family = ["(graph6 C~)", "(graph6 Bw)", "(graph6 Gr`HOk)", "(graph6 GhdHKc)",
+                  "(petersen)"]
+        led = Ledger(str(tmp_path / "led.jsonl"))
+        entries = list(search(family, led, workers=workers))
+        assert [e.recipe for e in entries] == family
+        assert [e.reason for e in entries[:4]] == [
+            "psi: edge smoothing requires girth at least 4",
+            "certification: certification expects a connected cubic graph",
+            "psi: decomposition count 1 of the reduced graph is not a multiple of 3",
+            "psi: decomposition count 1 of the reduced graph is not a multiple of 3",
+        ]
+        (petersen,) = evaluate_recipe_records("(petersen)")
+        assert replace(entries[4], wall_time=0) == replace(petersen, wall_time=0)
         assert Ledger(led.path).entries == entries
 
     def test_unparsable_recipe_keeps_its_text(self):

@@ -1,0 +1,33 @@
+"""A smoothed graph inherits its host's frontier order through
+graph.contract_removed_edge alone, and the verifiers smooth through that
+public call.  Read the package with ast so that no other module reads or
+writes graph.py's stored order, and analyze.py imports no private name
+from coloring."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "snarkforge"
+
+
+def test_private_names_stay_in_their_module():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            named = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.value if isinstance(node, ast.Constant)
+                else None
+            )
+            if named == "_frontier_order" and path.name != "graph.py":
+                found.append(f"{path.name}:{node.lineno}")
+            if (
+                path.name == "analyze.py"
+                and isinstance(node, ast.ImportFrom)
+                and node.module == "coloring"
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                found += [f"analyze.py:{node.lineno} {name}" for name in private]
+    assert not found
