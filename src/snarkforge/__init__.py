@@ -40,6 +40,7 @@ from .coloring import (
     enumerate_decompositions,
     parity_residual,
     psi,
+    psi_counts,
     psi_with_counts,
 )
 from .kempe import (

@@ -30,10 +30,11 @@ from .coloring import (
     count_decompositions,
     count_same_class,
     psi,
-    psi_with_counts,
+    psi_counts,
+    psi_from_count,
 )
 from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
-from .covers import kaszonyi_sum_check
+from .covers import _cover_sum_side
 from .isomorphism import edge_orbits
 from .kempe import cocyclic_factor_count, color_pair_counts
 from .klein import COLORS
@@ -166,17 +167,26 @@ def verify_thm_3_7(g: Graph, e: EdgeLike) -> TheoremReport:
         quantities["reduced_colorable"] = False
         checks.append(("psi even when reduced graph non-Hamiltonian", True))
     else:
-        lhs, rhs, equal = kaszonyi_sum_check(reduced, d1, d2)
+        # covers.kaszonyi_sum_check's two sides, with ned as its count
+        rhs = _cover_sum_side(reduced, d1, d2)
         ham = is_hamiltonian(reduced)
         quantities.update(
-            {"reduced_colorable": True, "cover_sum_lhs": lhs, "cover_sum_rhs": rhs,
+            {"reduced_colorable": True, "cover_sum_lhs": ned, "cover_sum_rhs": rhs,
              "reduced_hamiltonian": ham}
         )
-        checks.append(("cover sum identity", equal))
+        checks.append(("cover sum identity", ned == rhs))
         checks.append(
             ("psi even when reduced graph non-Hamiltonian", ham or psi_val % 2 == 0)
         )
     return TheoremReport("3.7", f"edge {ref.index} {ref.pair}", quantities, tuple(checks))
+
+
+def _psis(g: Graph, edges: list[EdgeLike]) -> list[int]:
+    """psi at each given edge, in the order given, from one
+    coloring.psi_counts pass; a count that is not a multiple of 3 raises
+    as psi does."""
+    counts = psi_counts(g, edges)
+    return [psi_from_count(counts[resolve_edge(g, e).index]) for e in edges]
 
 
 def _pentagon_union_component(g: Graph, p: Cycle) -> set[tuple[int, int]]:
@@ -203,7 +213,8 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     count checks that every decomposition has one."""
     reduced, pendants = remove_pentagon(g, p)
     union_comp = _pentagon_union_component(g, p)
-    union_psis = {pair: psi(g, pair) for pair in sorted(union_comp)}
+    union_pairs = sorted(union_comp)
+    union_psis = dict(zip(union_pairs, _psis(g, union_pairs)))
     psis = [union_psis[pair] for pair in p.edge_pairs()]
     psi_val = psis[0]
     ned = count_decompositions(reduced)
@@ -271,20 +282,20 @@ def verify_thm_4_8(
     edges are measured but not asserted."""
     res = pentagon_join(gp, pp, gs, ps, rotation)
     big = res.graph
-    psi_pp = psi(gp, pp.edge_pairs()[0])
-    psi_ps = psi(gs, ps.edge_pairs()[0])
-    checked, ok = [], []
-    for factor, block, map_edge, pentagon_psi in (
-        (gs, "star", res.map_star_edge, psi_pp),
-        (gp, "prime", res.map_prime_edge, psi_ps),
-    ):
-        edges = _eligible_edges(res, factor, block)
-        checked.append(len(edges))
-        ok.append(all(
-            psi(big, map_edge(factor, pair)) == psi(factor, pair) * pentagon_psi
-            for pair in edges
-        ))
-    connecting_psi = {i: psi(big, i) for i in res.connecting_edges}
+    star = _eligible_edges(res, gs, "star")
+    prime = _eligible_edges(res, gp, "prime")
+    # each graph's psis from one pass: the pentagon edge first
+    psi_ps, *star_psis = _psis(gs, [ps.edge_pairs()[0]] + star)
+    psi_pp, *prime_psis = _psis(gp, [pp.edge_pairs()[0]] + prime)
+    mapped = [res.map_star_edge(gs, pair) for pair in star]
+    mapped += [res.map_prime_edge(gp, pair) for pair in prime]
+    big_psis = _psis(big, mapped + list(res.connecting_edges))
+    checked = [len(star), len(prime)]
+    ok = [
+        big_psis[:len(star)] == [x * psi_pp for x in star_psis],
+        big_psis[len(star):len(mapped)] == [x * psi_ps for x in prime_psis],
+    ]
+    connecting_psi = dict(zip(res.connecting_edges, big_psis[len(mapped):]))
     return TheoremReport(
         "4.8",
         f"pentagon join ({gp.n}+{gs.n} vertices, rot={rotation})",
@@ -313,12 +324,13 @@ def verify_thm_5_3(
     big = res.graph
     psi_e = psi(gp, ref)
     pairs = _eligible_edges(res, gs, "star")
+    mapped = [res.map_star_edge(gs, pair).index for pair in pairs]
+    big_counts = psi_counts(big, mapped)
     ok = True
     details = []
-    for pair in pairs:
-        mapped = res.map_star_edge(gs, pair)
-        lhs, _ned, ec = psi_with_counts(big, mapped)
-        rhs = 2 * psi(gs, pair) * psi_e
+    for pair, i, factor_psi in zip(pairs, mapped, _psis(gs, pairs)):
+        lhs, ec = psi_from_count(big_counts[i]), 6 * big_counts[i]
+        rhs = 2 * factor_psi * psi_e
         details.append({"edge": pair, "psi": lhs, "expected": rhs, "ec": ec})
         ok = ok and lhs == rhs and ec == 18 * lhs
     return TheoremReport(

@@ -10,9 +10,12 @@ that do not clash, in the style of Sekine-Imai-Tani frontier counting.
 Counts (colorings, decompositions, psi) fold those steps breadth-first,
 keeping for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
-depth-first.  The order is searched once per graph value, and a smoothed
-graph inherits its host's order (graph.contract_removed_edge); each
-step's extension table is built once per shape of the step and shared.
+depth-first.  psi at many edges of one host (psi_counts) folds the same
+steps once forward and once in reverse over the host's Klein flows, with
+no smoothing.  The order is searched once per graph value, and a
+smoothed graph inherits its host's order (graph.contract_removed_edge);
+each step's extension table is built once per shape of the step and
+shared.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -31,6 +34,7 @@ from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
     Graph,
+    _require_smoothable,
     contract_removed_edge,
     frontier_order,
     is_quasi_cubic,
@@ -167,28 +171,40 @@ def _count_frontier(
     states = {0: 1}
     generated = 0
     for known, _new, clear, extend in _placement_steps(g, fixed):
-        nxt: dict[int, int] = {}
-        for s, n_s in states.items():
-            used = 0
-            for sh in known:
-                bit = 1 << ((s >> sh) & 3)
-                if used & bit:
-                    break
-                used |= bit
-            else:
-                base = s & clear
-                for add in extend[used]:
-                    t = base | add
-                    nxt[t] = nxt.get(t, 0) + n_s
-        states = nxt
-        generated += len(states)
-        if node_budget is not None and generated > node_budget:
-            raise BudgetExceededError(
-                f"coloring count exceeded {node_budget} DP states"
-            )
+        states = _advance(states, known, clear, extend)
+        generated = _spend(generated, states, node_budget)
         if not states:
             return 0
     return states.get(0, 0)
+
+
+def _advance(
+    states: dict[int, int], known: list[int], clear: int, extend: _Table
+) -> dict[int, int]:
+    """One placement step of the breadth-first fold: drop the states whose
+    known colors clash and extend the rest."""
+    nxt: dict[int, int] = {}
+    for s, n_s in states.items():
+        used = 0
+        for sh in known:
+            bit = 1 << ((s >> sh) & 3)
+            if used & bit:
+                break
+            used |= bit
+        else:
+            base = s & clear
+            for add in extend[used]:
+                t = base | add
+                nxt[t] = nxt.get(t, 0) + n_s
+    return nxt
+
+
+def _spend(generated: int, states: dict, node_budget: Optional[int]) -> int:
+    """Add a step's states to the running total, raising past the budget."""
+    generated += len(states)
+    if node_budget is not None and generated > node_budget:
+        raise BudgetExceededError(f"coloring count exceeded {node_budget} DP states")
+    return generated
 
 
 def _search_colorings(
@@ -337,20 +353,24 @@ def smoothed_psi(
     return (None if ned % 3 else ned // 3), ned
 
 
+def psi_from_count(ned: int) -> int:
+    """psi from the decomposition count of the smoothed graph: one third
+    of it.  The divisibility by 3 is guaranteed for snarks, and its
+    failure raises CountContradictionError, never returns a wrong value."""
+    if ned % 3:
+        raise CountContradictionError(
+            f"decomposition count {ned} of the reduced graph is not a multiple of 3"
+        )
+    return ned // 3
+
+
 def psi_with_counts(
     g: Graph, e: EdgeLike, node_budget: Optional[int] = None
 ) -> tuple[int, int, int]:
     """(psi, |ED| of reduced graph, |EC| of reduced graph); the coloring
-    count comes from the decomposition count via the 6x correspondence.
-
-    The divisibility by 3 is guaranteed for snarks and its failure raises
-    CountContradictionError, never returns a wrong value."""
-    val, ned = smoothed_psi(g, e, node_budget)
-    if val is None:
-        raise CountContradictionError(
-            f"decomposition count {ned} of the reduced graph is not a multiple of 3"
-        )
-    return val, ned, 6 * ned
+    count comes from the decomposition count via the 6x correspondence."""
+    ned = smoothed_psi(g, e, node_budget)[1]
+    return psi_from_count(ned), ned, 6 * ned
 
 
 def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
@@ -360,3 +380,174 @@ def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
     The host must be a snark; the caller asserts it (see
     analyze.certify_snark)."""
     return psi_with_counts(g, e, node_budget)[0]
+
+
+# -- psi at many edges: one forward and one reverse pass ------------------
+
+
+def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
+    """The decomposition count of the smoothed graph G_e (e removed, its
+    ends smoothed away) at every given edge e, keyed by edge index in the
+    order given: what smoothed_psi counts one edge at a time, from one
+    forward and one reverse pass over the host, with smoothed_psi's
+    DomainErrors at the first edge where it would raise.
+
+    Tait's correspondence (klein.py): giving e the group's zero and both
+    edges at each end of e the color of the edge that smooths that end
+    away turns the colorings of G_e into exactly the Klein flows of the
+    host whose zero set is {e}, flows that sum to zero at every vertex.
+    So ned(G_e) is that flow count over 6.  The forward pass is
+    count_decompositions' fold, pinned at the first vertex of
+    frontier_order, with its state map kept at each cut; the reverse pass
+    places the same vertices last to first, each edge in the forward
+    pass's slot, so that the two passes' keys agree at every cut, and
+    pins the last vertex.  A reverse state may carry one zero, on a given
+    edge, while that edge crosses the cut; at the last vertex a zero
+    state (0, 1, 1) weighs 1 and the plain (1, 2, 3) weighs 2, which is
+    what a sum over the six relabellings rho of the colors needs.  When
+    e's zero closes at the k-th vertex, its states T_e meet the forward
+    map F at the cut before it:
+
+        ned(G_e) = 1/2 * sum_t F(t) * sum_rho T_e(rho t),    or T_e(0) / 2 when k = 0.
+
+    Each halving is checked exact (CountContradictionError otherwise).
+    Sekine, Imai and Tani (ISAAC 1995) read a transfer-matrix count the
+    same way from both ends.  ledger.evaluate_recipe_records runs the
+    pass under its node budget."""
+    return _psi_pass(g, list(_smoothable(g, edges)))
+
+
+def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
+    """The index of each given edge in turn, once smoothed_psi's
+    preconditions hold there, checked with their DomainError texts but
+    without smoothing: contract_removed_edge's conditions on the host,
+    checked at the first edge, where smoothed_psi would fail them first,
+    and count_decompositions' connectivity, which the smoothed graph has
+    exactly when g without e has it."""
+    for k, e in enumerate(edges):
+        ref = resolve_edge(g, e)
+        if not k:
+            _require_smoothable(g)
+        u, v = ref.pair
+        seen, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for y in g.neighbors(x):
+                if y not in seen and {x, y} != {u, v}:
+                    seen.add(y)
+                    todo.append(y)
+        if len(seen) < g.n:
+            raise DomainError("graph must be connected")
+        yield ref.index
+
+
+def _psi_pass(
+    g: Graph, indexes: list[int], node_budget: Optional[int] = None
+) -> dict[int, int]:
+    """psi_counts' pass at edges whose preconditions _smoothable has
+    checked; ``node_budget`` caps the states both passes generate."""
+    if not indexes:
+        return {}
+    order = frontier_order(g)
+    pos = {v: k for k, v in enumerate(order)}
+    steps = list(_placement_steps(g, _decomposition_fixing(g, order)))
+    # the (edge, shift) pairs each forward step closes and opens
+    closes: list[list[tuple[int, int]]] = []
+    opens: list[list[tuple[int, int]]] = []
+    shift_of: dict[int, int] = {}
+    for v, (_known, new, _clear, _extend) in zip(order, steps):
+        closes.append([(i, shift_of[i]) for i in g.incident_edges(v) if i in shift_of])
+        shift_of.update(new)
+        opens.append(new)
+    mask = sum({1 << sh for sh in shift_of.values()})
+    # e = (order[low], order[high]) opens forward at low, in reverse at
+    # high; the reverse pass opens its last zero at step last_open
+    low = {i: min(pos[x] for x in g.edges[i]) for i in indexes}
+    last_open = min(max(pos[x] for x in g.edges[i]) for i in indexes)
+    keep = {k - 1 for k in low.values() if k}
+    generated = 0
+
+    forward: dict[int, dict[int, int]] = {}
+    states = {0: 1}
+    for k in range(max(keep, default=-1) + 1):
+        known, _new, clear, extend = steps[k]
+        states = _advance(states, known, clear, extend)
+        generated = _spend(generated, states, node_budget)
+        if k in keep:
+            forward[k] = states
+
+    last = closes[-1]
+    plain = {sum(c << sh for c, (_, sh) in zip(COLORS, last)): 2}
+    zeros = {
+        i: {sum(1 << sh for j, sh in last if j != i): 1} for i, _ in last if i in low
+    }
+    counts: dict[int, int] = {}
+    for k in range(len(order) - 2, min(low.values()) - 1, -1):
+        # in reverse, step k closes what the forward step opened, and back
+        known = [sh for _, sh in opens[k]]
+        clear = ~sum(3 << sh for sh in known)
+        new = closes[k]
+        extend = _extension_table(tuple((sh, None) for _, sh in new))
+        for i, _sh in opens[k]:
+            if i in zeros:
+                others = [sh for j, sh in opens[k] if j != i]
+                t_e = _equal_others(zeros.pop(i), others, clear, [sh for _, sh in new])
+                generated = _spend(generated, t_e, node_budget)
+                total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
+                if total % 2:
+                    raise CountContradictionError(
+                        f"the flow count at edge {i} is odd ({total}), not twice a count"
+                    )
+                counts[i] = total // 2
+        for i in zeros:
+            zeros[i] = _advance(zeros[i], known, clear, extend)
+            generated = _spend(generated, zeros[i], node_budget)
+        for i, _sh in new:
+            if i in low:
+                paint = [sh for j, sh in new if j != i]
+                zeros[i] = _equal_others(plain, known, clear, paint)
+                generated = _spend(generated, zeros[i], node_budget)
+        if k > last_open:
+            plain = _advance(plain, known, clear, extend)
+            generated = _spend(generated, plain, node_budget)
+    return {i: counts[i] for i in indexes}
+
+
+def _equal_others(
+    states: dict[int, int], others: list[int], clear: int, new: list[int]
+) -> dict[int, int]:
+    """The step at an end of the zero edge: the vertex's two other edges,
+    the known ones at shifts ``others`` and the opening ones at ``new``,
+    must share one color, so that the three sum to zero."""
+    paint = [sum(c << sh for sh in new) for c in range(4)]
+    nxt: dict[int, int] = {}
+    for s, n_s in states.items():
+        colors = {s >> sh & 3 for sh in others}
+        if len(colors) > 1:
+            continue
+        base = s & clear
+        for c in colors or COLORS:
+            t = base | paint[c]
+            nxt[t] = nxt.get(t, 0) + n_s
+    return nxt
+
+
+def _relabelled_sum(a: dict[int, int], b: dict[int, int], mask: int) -> int:
+    """sum_t a(t) * sum_rho b(rho t) over the six relabellings rho of the
+    colors, which is symmetric in a and b, so the smaller map is walked.
+    A relabelling is a linear map of the two color bits (klein.py), so it
+    acts on every slot at once through the low bits (``mask``) and high
+    bits of a state."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    total = 0
+    for s, n_s in a.items():
+        lo = s & mask
+        hi = s >> 1 & mask
+        mix = lo ^ hi
+        total += n_s * (
+            get(s, 0) + get(hi | lo << 1, 0) + get(lo | mix << 1, 0)
+            + get(mix | hi << 1, 0) + get(hi | mix << 1, 0) + get(mix | lo << 1, 0)
+        )
+    return total

@@ -128,10 +128,17 @@ def kaszonyi_sum_check(
     lhs = count_decompositions(h)
     if not lhs:
         raise DomainError("host graph is uncolorable")
+    rhs = _cover_sum_side(h, d1, d2)
+    return lhs, rhs, lhs == rhs
+
+
+def _cover_sum_side(h: Graph, d1: EdgeLike, d2: EdgeLike) -> int:
+    """kaszonyi_sum_check's right side, (3/2) * even_cover_sum, on a host
+    whose count the caller has found nonzero; analyze.verify_thm_3_7 has
+    that count already and calls this, not the whole check."""
     if cocyclic_factor_count(h, d1, d2):
         raise DomainError("the marked edges must be orthogonal")
     total = even_cover_sum(h, d1, d2)
     if (3 * total) % 2:
         raise DomainError("cover sum is odd; identity inputs out of domain")
-    rhs = (3 * total) // 2
-    return lhs, rhs, lhs == rhs
+    return (3 * total) // 2

@@ -239,6 +239,19 @@ def delete_edges(g: Graph, s: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.n, tuple(p for p in g.edges if p not in drop))
 
 
+def _require_smoothable(g: Graph) -> None:
+    """contract_removed_edge's conditions on the host: cubic, with girth at
+    least 4.  They keep every smoothing simple: a neighbor shared by the
+    ends of e, or two adjacent neighbors of one end, would close a
+    triangle."""
+    if not is_cubic(g):
+        raise DomainError("edge smoothing requires a cubic graph")
+    # a cubic graph has girth at least 4 exactly when no edge is on a triangle
+    nbr = [frozenset(g.neighbors(x)) for x in range(g.n)]
+    if any(nbr[a] & nbr[b] for a, b in g.edges):
+        raise DomainError("edge smoothing requires girth at least 4")
+
+
 def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRef]:
     """Remove edge e = (u, v) together with u and v, then reconnect each
     endpoint's two remaining neighbors with a new edge (smoothing both
@@ -251,19 +264,10 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
     renumbered, so the order is searched once per host, not per edge.
     """
     ref = resolve_edge(g, e)
-    if not is_cubic(g):
-        raise DomainError("edge smoothing requires a cubic graph")
-    # a cubic graph has girth at least 4 exactly when no edge is on a triangle
-    nbr = [frozenset(g.neighbors(x)) for x in range(g.n)]
-    if any(nbr[a] & nbr[b] for a, b in g.edges):
-        raise DomainError("edge smoothing requires girth at least 4")
+    _require_smoothable(g)
     u, v = ref.pair
     t1, t2 = (w for w in g.neighbors(u) if w != v)
     w1, w2 = (w for w in g.neighbors(v) if w != u)
-    if len({t1, t2, w1, w2}) != 4:
-        raise DomainError("endpoint neighborhoods overlap; smoothing undefined")
-    if g.has_edge(t1, t2) or g.has_edge(w1, w2):
-        raise DomainError("smoothing would create a multiple edge")
     # survivors keep their order, renumbered densely as delete_vertices does
     new = [x - (x > u) - (x > v) for x in range(g.n)]
     d1_pair = _normalize_pair(new[t1], new[t2])

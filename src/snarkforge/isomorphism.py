@@ -47,7 +47,8 @@ def _match(g: Graph, h: Graph) -> Iterator[list[int]]:
     """Yield vertex bijections g -> h preserving adjacency."""
     if g.n != h.n or g.m != h.m:
         return
-    gi, hi = _invariants(g), _invariants(h)
+    gi = _invariants(g)
+    hi = gi if h is g else _invariants(h)
     if sorted(gi) != sorted(hi):
         return
     # BFS order: every vertex but a component root has a mapped BFS parent,

@@ -28,7 +28,7 @@ from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .errors import Graph6ParseError, LedgerIntegrityError
 from .graph import Graph, list_pentagons
 from .graph6 import decode_graph6, encode_graph6, graph6_order
-from .coloring import psi_with_counts
+from .coloring import _psi_pass, _smoothable, psi_from_count, psi_with_counts
 from .isomorphism import edge_orbits
 from .analyze import certify_snark
 from .recipe import evaluate_text, format_recipe, parse_recipe
@@ -38,7 +38,8 @@ from .recipe import evaluate_text, format_recipe, parse_recipe
 class PsiRecord:
     """One verified psi value: the recipe that builds the graph, the graph
     itself (graph6), an orbit-representative edge, and the raw counts.
-    ``wall_time`` is the seconds spent computing this record's psi."""
+    ``wall_time`` is the seconds of the pass that computed psi at every
+    representative of its recipe, split evenly over them."""
 
     recipe: str
     graph6: str
@@ -178,7 +179,9 @@ class Ledger:
 
         Each recipe is built and encoded once per Ledger, so its graph's
         frontier order is searched once however many records it has; the
-        graph6 comparison and the psi recount still run for every record."""
+        graph6 comparison and the psi recount still run for every record.
+        The recount smooths the record's edge and counts (psi_with_counts),
+        a route independent of the search's two-way pass."""
         if rec.recipe not in self._witnesses:
             g = evaluate_text(rec.recipe)
             self._witnesses[rec.recipe] = g, encode_graph6(g)
@@ -211,11 +214,13 @@ def evaluate_recipe_records(
     recipe_text: str, budget: Optional[SearchBudget] = None
 ) -> list[LedgerEntry]:
     """Build one recipe, certify it, and compute psi for one edge per
-    automorphism orbit.  A recipe that does not parse or build, an
-    oversized instance, a graph that certification or psi rejects as
-    outside its domain, and an over-budget count each yield a single
-    truncation marker instead, after any psi records computed before it,
-    so one bad recipe never ends a search."""
+    automorphism orbit, all from one coloring._psi_pass.  A recipe that
+    does not parse or build, an oversized instance, a graph that
+    certification or psi rejects as outside its domain, and an over-budget
+    pass each yield a single truncation marker instead, after the psi
+    records of the representatives before the one psi rejects, so one bad
+    recipe never ends a search.  ``max_nodes`` caps the states of the
+    whole pass, so going over it truncates the whole recipe."""
     budget = budget or SearchBudget()
     try:
         canonical = format_recipe(parse_recipe(recipe_text))
@@ -233,30 +238,42 @@ def evaluate_recipe_records(
         g.edge_index(a, b) for p in list_pentagons(g) for a, b in p.edge_pairs()
     }
     orbits = edge_orbits(g)
-    out: list[LedgerEntry] = []
+    t0 = time.perf_counter()
+    # the first representative that fails smoothed_psi's preconditions ends
+    # the recipe after the records of those before it
+    reps: list[int] = []
+    failure = None
     try:
-        for orbit in orbits:
-            rep = orbit[0]
-            t0 = time.perf_counter()
-            psi_val, _ned, ec = psi_with_counts(g, rep, node_budget=budget.max_nodes)
-            tags = ("pentagon",) if rep in pentagon_edges else ()
-            out.append(
-                PsiRecord(
-                    recipe=canonical,
-                    graph6=g6,
-                    edge_index=rep,
-                    psi=psi_val,
-                    ec_count=ec,
-                    certificate=cert.summary(),
-                    wall_time=round(time.perf_counter() - t0, 6),
-                    tags=tags,
-                )
-            )
+        for rep in _smoothable(g, (orbit[0] for orbit in orbits)):
+            reps.append(rep)
+    except DomainError as exc:
+        failure = TruncationRecord(canonical, f"psi: {exc}")
+    try:
+        counts = _psi_pass(g, reps, node_budget=budget.max_nodes)
     except BudgetExceededError as exc:
-        out.append(TruncationRecord(canonical, str(exc)))
-    except (DomainError, CountContradictionError) as exc:
-        out.append(TruncationRecord(canonical, f"psi: {exc}"))
-    return out
+        return [TruncationRecord(canonical, str(exc))]
+    except CountContradictionError as exc:
+        return [TruncationRecord(canonical, f"psi: {exc}")]
+    wall_time = round((time.perf_counter() - t0) / max(len(reps), 1), 6)
+    out: list[LedgerEntry] = []
+    for rep in reps:
+        try:
+            psi_val = psi_from_count(counts[rep])
+        except CountContradictionError as exc:
+            return out + [TruncationRecord(canonical, f"psi: {exc}")]
+        out.append(
+            PsiRecord(
+                recipe=canonical,
+                graph6=g6,
+                edge_index=rep,
+                psi=psi_val,
+                ec_count=6 * counts[rep],
+                certificate=cert.summary(),
+                wall_time=wall_time,
+                tags=("pentagon",) if rep in pentagon_edges else (),
+            )
+        )
+    return out + ([failure] if failure else [])
 
 
 def search(

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import networkx as nx
 import pytest
 
 from oracles import pentagon_union_by_growth
+from snarkforge import analyze, coloring, covers
 from snarkforge.errors import DomainError
 from snarkforge.graph import Graph, contract_removed_edge, list_pentagons
 from snarkforge.construct import dot_product, flower, superpose_52
@@ -19,6 +22,17 @@ from snarkforge.analyze import (
     verify_thm_4_8,
     verify_thm_5_3,
 )
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Wrap module.name in a call counter keyed by name."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def dodecahedron():
@@ -97,6 +111,16 @@ class TestTheorem37:
         assert report.passed
         assert report.quantities["psi"] == 2
 
+    def test_reduced_graph_counted_once(self, monkeypatch):
+        # the cover identity's left side is the decomposition count the
+        # report already holds, not a second count of the same graph
+        calls = Counter()
+        for module in (analyze, covers):
+            count_calls(monkeypatch, module, "count_decompositions", calls)
+        report = verify_thm_3_7(flower(9), 0)
+        assert report.passed and report.quantities["reduced_colorable"]
+        assert calls == {"count_decompositions": 1}
+
 
 class TestTheorem45:
     def test_all_petersen_pentagons(self, P):
@@ -120,6 +144,16 @@ class TestTheorem45:
         for g in hosts:
             for p in list_pentagons(g):
                 assert _pentagon_union_component(g, p) == pentagon_union_by_growth(g, p)
+
+    def test_union_psis_from_one_pass(self, monkeypatch, P):
+        # P's 12 pentagons share one 15-edge union component: each report
+        # reads its 15 psis from one pass, with no smoothing
+        calls = Counter()
+        count_calls(monkeypatch, analyze, "psi_counts", calls)
+        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        for p in list_pentagons(P):
+            assert verify_thm_4_5(P, p).passed
+        assert calls == {"psi_counts": 12}
 
     def test_flower_pentagon(self, J5):
         report = verify_thm_4_5(J5, list_pentagons(J5)[0])
@@ -145,6 +179,14 @@ class TestTheorem48:
         p = list_pentagons(P)[0]
         assert verify_thm_4_8(P, p, P, p, rotation=2).passed
 
+    def test_one_pass_per_graph(self, monkeypatch, P, J5):
+        # the joined graph, and each factor, give all their psis in one pass
+        calls = Counter()
+        count_calls(monkeypatch, analyze, "psi_counts", calls)
+        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        assert verify_thm_4_8(J5, list_pentagons(J5)[0], P, list_pentagons(P)[0]).passed
+        assert calls == {"psi_counts": 3}
+
 
 class TestTheorem53:
     def test_petersen_pair(self, P):
@@ -163,6 +205,14 @@ class TestTheorem53:
 
     def test_shared_neighbor_instance(self, P):
         assert verify_thm_5_3(P, 0, P, 0, 2).passed
+
+    def test_mapped_and_factor_psis_from_one_pass_each(self, monkeypatch, P, J5):
+        # only the replaced edge's psi still smooths its one edge
+        calls = Counter()
+        count_calls(monkeypatch, analyze, "psi_counts", calls)
+        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        assert verify_thm_5_3(P, 0, J5, 0, 6).passed
+        assert calls == {"psi_counts": 2, "contract_removed_edge": 1}
 
 
 class TestConditionK:

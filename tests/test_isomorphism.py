@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import to_nx
+from snarkforge import isomorphism
 from snarkforge.coloring import psi
 from snarkforge.construct import flower
 from snarkforge.graph import Graph, contract_removed_edge
@@ -138,3 +139,19 @@ def test_is_isomorphic_matches_networkx(g, perm_seed, other_seed):
     assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
     other = random_cubic_union([(g.n, other_seed)])
     assert is_isomorphic(g, other) == nx.is_isomorphic(to_nx(g), to_nx(other))
+
+
+def test_automorphisms_compute_invariants_once(monkeypatch):
+    # _match(g, g) compares g with itself: one invariant list serves both
+    calls = []
+    real = isomorphism._invariants
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(isomorphism, "_invariants", counted)
+    g = flower(7)
+    assert len(edge_orbits(g)) == 4
+    assert calls == [g]
+    assert is_isomorphic(g, flower(7)) and len(calls) == 3

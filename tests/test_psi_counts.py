@@ -1,0 +1,178 @@
+"""coloring.psi_counts, psi at many edges from one forward and one
+reverse pass over the host's Klein flows, against the single-edge
+smoothed route (smoothed_psi), which shares none of the pass's zero
+states, relabelled sums or last-vertex weights; and the search harness
+that now reads its psi records from one pass per recipe."""
+
+import random
+from collections import Counter
+
+import networkx as nx
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from snarkforge import analyze, coloring, graph, ledger
+from snarkforge.coloring import psi_counts, psi_with_counts, smoothed_psi
+from snarkforge.construct import flower, petersen
+from snarkforge.errors import CountContradictionError, DomainError
+from snarkforge.graph import Graph, frontier_order, girth
+from snarkforge.graph6 import encode_graph6
+from snarkforge.isomorphism import edge_orbits
+from snarkforge.ledger import (
+    PsiRecord,
+    SearchBudget,
+    TruncationRecord,
+    evaluate_recipe_records,
+    search,
+    superpose_chain_family,
+)
+from snarkforge.recipe import evaluate_text
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def smoothed_counts(g: Graph, edges) -> dict[int, int]:
+    return {i: smoothed_psi(g, i)[1] for i in edges}
+
+
+HOSTS = {"P": petersen()}
+HOSTS.update({f"J{n}": flower(n) for n in range(5, 14, 2)})
+HOSTS.update(
+    {f"chain{j}": evaluate_text(r) for j, r in enumerate(superpose_chain_family(3)) if j}
+)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_every_edge_matches_the_smoothed_route(name):
+    g = HOSTS[name]
+    expected = smoothed_counts(g, range(g.m))
+    assert psi_counts(g, range(g.m)) == expected
+    # the keys keep the order the edges were given in
+    backwards = list(range(g.m))[::-1]
+    assert list(psi_counts(g, backwards).items()) == [(i, expected[i]) for i in backwards]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_edges_of_the_first_and_last_vertex_alone(name):
+    # the zeros that close where the forward pass starts (T_e(0) / 2) and
+    # open at the pinned last vertex, each asked for on its own, so the
+    # passes stop as early as one edge allows
+    g = HOSTS[name]
+    order = frontier_order(g)
+    for v in (order[0], order[-1]):
+        for i in g.incident_edges(v):
+            assert psi_counts(g, [i]) == smoothed_counts(g, [i])
+
+
+@st.composite
+def girth4_cubic(draw) -> Graph:
+    n = draw(st.sampled_from(range(6, 19, 2)))
+    G = nx.random_regular_graph(3, n, seed=draw(seeds))
+    assume(nx.is_connected(G))
+    g = Graph.from_edges(n, G.edges())
+    assume(girth(g) >= 4)
+    return g
+
+
+@SETTINGS
+@given(girth4_cubic(), seeds)
+def test_random_girth4_cubic_graphs(g, seed):
+    # colorable hosts included: the flow identity holds for any cubic host
+    expected = smoothed_counts(g, range(g.m))
+    assert psi_counts(g, range(g.m)) == expected
+    subset = random.Random(seed).sample(range(g.m), random.Random(seed).randint(1, g.m))
+    assert psi_counts(g, subset) == {i: expected[i] for i in subset}
+
+
+def subdivided_k33(offset: int) -> list[tuple[int, int]]:
+    """K3,3 on offset..offset+5 with its edge (offset, offset+3) subdivided
+    by offset+6, the one 2-valent vertex."""
+    pairs = [(offset + a, offset + 3 + b) for a in range(3) for b in range(3) if a or b]
+    return pairs + [(offset, offset + 6), (offset + 6, offset + 3)]
+
+
+BRIDGED = Graph.from_edges(14, subdivided_k33(0) + subdivided_k33(7) + [(6, 13)])
+K33 = Graph.from_edges(6, [(a, 3 + b) for a in range(3) for b in range(3)])
+
+
+def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
+    # a triangle, and the bridge (6, 13), whose smoothing is disconnected
+    two_k33 = Graph.from_edges(12, K33.edges + tuple((6 + a, 6 + b) for a, b in K33.edges))
+    cases = [(K4, 0), (prism, 0), (BRIDGED, BRIDGED.edge_index(6, 13)), (two_k33, 0),
+             (petersen(), 15)]
+    for g, e in cases:
+        with pytest.raises(DomainError) as single:
+            smoothed_psi(g, e)
+        with pytest.raises(DomainError) as batch:
+            psi_counts(g, [e])
+        assert str(batch.value) == str(single.value)
+    rest = [i for i in range(BRIDGED.m) if BRIDGED.edges[i] != (6, 13)]
+    assert psi_counts(BRIDGED, rest) == smoothed_counts(BRIDGED, rest)
+
+
+def records_one_edge_at_a_time(text: str) -> list:
+    """evaluate_recipe_records' answers as the single-edge route gives
+    them: one smoothed count per orbit representative, stopping at the
+    first representative psi rejects."""
+    g = evaluate_text(text)
+    out = []
+    for orbit in edge_orbits(g):
+        try:
+            psi_val, _ned, ec = psi_with_counts(g, orbit[0])
+        except (DomainError, CountContradictionError) as exc:
+            return out + [f"psi: {exc}"]
+        out.append((orbit[0], psi_val, ec))
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "(petersen)", "(flower 5)", "(flower 7)", list(superpose_chain_family(2))[-1],
+    "(graph6 C~)", "(graph6 Gr`HOk)", "(graph6 GhdHKc)", f"(graph6 {encode_graph6(K33)})",
+    f"(graph6 {encode_graph6(BRIDGED)})",
+])
+def test_search_records_match_the_single_edge_route(text):
+    answers = [
+        (e.edge_index, e.psi, e.ec_count) if isinstance(e, PsiRecord) else e.reason
+        for e in evaluate_recipe_records(text)
+    ]
+    assert answers == records_one_edge_at_a_time(text)
+
+
+def test_bridged_host_keeps_the_records_before_the_bridge():
+    # the bridge's orbit is not the first, so the records of the
+    # representatives before it precede its truncation
+    *records, last = evaluate_recipe_records(f"(graph6 {encode_graph6(BRIDGED)})")
+    assert last.reason == "psi: graph must be connected"
+    assert records and all(isinstance(e, PsiRecord) for e in records)
+
+
+def test_node_budget_truncates_the_whole_recipe():
+    entries = evaluate_recipe_records("(flower 5)", budget=SearchBudget(max_nodes=500))
+    assert entries == [TruncationRecord("(flower 5)", "coloring count exceeded 500 DP states")]
+
+
+def test_chain_search_makes_one_pass_and_no_smoothing(monkeypatch):
+    calls = Counter()
+    real_pass, real_smoothing = ledger._psi_pass, graph.contract_removed_edge
+
+    def counting_pass(*args, **kwargs):
+        calls["pass"] += 1
+        return real_pass(*args, **kwargs)
+
+    def counting_smoothing(*args, **kwargs):
+        calls["smoothing"] += 1
+        return real_smoothing(*args, **kwargs)
+
+    monkeypatch.setattr(ledger, "_psi_pass", counting_pass)
+    for module in (graph, coloring, analyze):
+        monkeypatch.setattr(module, "contract_removed_edge", counting_smoothing)
+    entries = list(search([list(superpose_chain_family(3))[-1]]))
+    assert len(entries) == 39 and all(isinstance(e, PsiRecord) for e in entries)
+    assert calls == {"pass": 1}
