@@ -14,8 +14,10 @@ depth-first.  psi at many edges of one host (psi_counts) folds the same
 steps once forward and once in reverse over the host's Klein flows, with
 no smoothing.  The order is searched once per graph value, and a
 smoothed graph inherits its host's order (graph.contract_removed_edge);
-each step's extension table is built once per shape of the step and
-shared.
+the frontier edges keep the slots of graph.frontier_layout, derived once
+per order.  A step reads one table, cached per shape of the step, from the
+colors of the slots it closes to the packings of the edges it opens, so
+each state costs one lookup.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, CountContradictionError, DomainError
@@ -36,6 +39,7 @@ from .graph import (
     Graph,
     _require_smoothable,
     contract_removed_edge,
+    frontier_layout,
     frontier_order,
     is_quasi_cubic,
     pendant_edges,
@@ -101,60 +105,53 @@ def _check_colorable_shape(g: Graph):
         raise DomainError("graph must be connected")
 
 
-_Table = tuple[tuple[int, ...], ...]
+_Table = dict[int, tuple[int, ...]]
 
 
 @cache
-def _extension_table(new: tuple[tuple[int, Optional[int]], ...]) -> _Table:
-    """table[used]: every packing of colors onto the new edges, given as
-    (slot shift, pin or None) pairs, that avoids the color bits in
-    ``used`` (bits 1-3; odd indexes repeat the even ones, so ``used``
-    indexes the table as it is) and honours the pins.  Built once per
-    key, which the frontier width and the three colors bound."""
-    table = []
-    for used in range(16):
-        combos = [(0, used)]
-        for sh, pin in new:
-            combos = [
-                (add | c << sh, u | 1 << c)
-                for add, u in combos
-                for c in (COLORS if pin is None else (pin,))
-                if not u >> c & 1
-            ]
-        table.append(tuple(add for add, _ in combos))
-    return tuple(table)
+def _step_table(
+    closing: tuple[int, ...], opening: tuple[tuple[int, Optional[int]], ...]
+) -> tuple[int, _Table]:
+    """(mask, table) for a step that closes the ``closing`` slots and opens
+    the ``opening`` ones, given as (slot, pin or None) pairs: ``mask``
+    covers the closing slots' two color bits each, and table[s & mask] is
+    every packing of colors onto the opening slots that honours the pins
+    and fits the closing colors in s.  Without a 0 at the vertex, its
+    colors are distinct and nonzero; a 0, the reverse pass's zero edge in
+    psi_counts (closing, or opening as a pin 0), makes every other edge at
+    the vertex share one nonzero color, so that the three sum to zero.
+    Clashing keys are left out.  Built once per key, which the frontier
+    width and the colors bound, and shared, so callers only read it."""
+    mask = sum(3 << 2 * x for x in closing)
+    choices = [COLORS if pin is None else (pin,) for _, pin in opening]
+    table: _Table = {}
+    for known in product(range(4), repeat=len(closing)):
+        adds = []
+        for new in product(*choices):
+            here = known + new
+            zeros, nonzero = here.count(0), set(here) - {0}
+            if (not zeros and len(nonzero) == len(here)) or (zeros == 1 and len(nonzero) < 2):
+                adds.append(sum(c << 2 * x for c, (x, _) in zip(new, opening)))
+        if adds:
+            table[sum(c << 2 * x for c, x in zip(known, closing))] = tuple(adds)
+    return mask, table
 
 
 def _placement_steps(
     g: Graph, fixed: Optional[dict[int, int]] = None
-) -> Iterator[tuple[list[int], list[tuple[int, int]], int, _Table]]:
+) -> list[tuple[tuple[tuple[int, int], ...], int, _Table]]:
     """The vertex placements both kernels walk, in graph.frontier_order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
-    placed), packed two bits per slot into an int.  Each step yields
-    (known, new, clear, extend): the shifts of the slots whose edges the
-    vertex closes, the (edge, shift) pairs of the edges it opens, the mask
-    that retires the known slots, and extend[used], every packing of
-    colors onto the new edges that avoids the color bits in ``used``
-    and honours the pins in ``fixed`` (see _extension_table)."""
+    placed), packed two bits per graph.frontier_layout slot into an int.
+    Each step is (opening, mask, table): the layout's (edge, slot) pairs
+    of the edges the vertex opens, and the _step_table of its closing
+    slots and of its opening ones with the pins in ``fixed``."""
     fixed = fixed or {}
-    placed = [False] * g.n
-    slot: dict[int, int] = {}
-    free: list[int] = []
-    for v in frontier_order(g):
-        placed[v] = True
-        known: list[int] = []
-        new: list[tuple[int, int]] = []
-        for i in g.incident_edges(v):
-            a, b = g.edges[i]
-            if placed[a] and placed[b]:
-                known.append(2 * slot[i])
-                free.append(slot.pop(i))
-            else:
-                slot[i] = free.pop() if free else len(slot) + len(free)
-                new.append((i, 2 * slot[i]))
-        extend = _extension_table(tuple((sh, fixed.get(i)) for i, sh in new))
-        yield known, new, ~sum(3 << sh for sh in known), extend
+    return [
+        (opening, *_step_table(closing, tuple((x, fixed.get(i)) for i, x in opening)))
+        for closing, opening in frontier_layout(g)[0]
+    ]
 
 
 def _count_frontier(
@@ -166,36 +163,32 @@ def _count_frontier(
 
     Folds the placement steps breadth-first, mapping each frontier state
     to how many partial colorings reach it: a step drops states whose
-    known colors clash and extends the rest.  ``node_budget`` caps the
+    closing colors clash and extends the rest.  ``node_budget`` caps the
     number of states generated."""
     states = {0: 1}
     generated = 0
-    for known, _new, clear, extend in _placement_steps(g, fixed):
-        states = _advance(states, known, clear, extend)
+    for _opening, mask, table in _placement_steps(g, fixed):
+        states = _advance(states, mask, table)
         generated = _spend(generated, states, node_budget)
         if not states:
             return 0
     return states.get(0, 0)
 
 
-def _advance(
-    states: dict[int, int], known: list[int], clear: int, extend: _Table
-) -> dict[int, int]:
-    """One placement step of the breadth-first fold: drop the states whose
-    known colors clash and extend the rest."""
+def _advance(states: dict[int, int], mask: int, table: _Table) -> dict[int, int]:
+    """One placement step of the breadth-first fold: look up each state's
+    closing colors, dropping the states whose colors clash, and extend the
+    rest."""
     nxt: dict[int, int] = {}
+    get = nxt.get
     for s, n_s in states.items():
-        used = 0
-        for sh in known:
-            bit = 1 << ((s >> sh) & 3)
-            if used & bit:
-                break
-            used |= bit
-        else:
-            base = s & clear
-            for add in extend[used]:
+        key = s & mask
+        adds = table.get(key)
+        if adds:
+            base = s ^ key
+            for add in adds:
                 t = base | add
-                nxt[t] = nxt.get(t, 0) + n_s
+                nxt[t] = get(t, 0) + n_s
     return nxt
 
 
@@ -212,25 +205,19 @@ def _search_colorings(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every proper total coloring extending ``fixed``, as a tuple of
     colors indexed by edge, by walking the placement steps depth-first."""
-    steps = list(_placement_steps(g, fixed))
+    steps = _placement_steps(g, fixed)
     assign = [0] * g.m
 
     def walk(k: int, s: int) -> Iterator[tuple[int, ...]]:
         if k == len(steps):
             yield tuple(assign)
             return
-        known, new, clear, extend = steps[k]
-        used = 0
-        for sh in known:
-            bit = 1 << ((s >> sh) & 3)
-            if used & bit:
-                return
-            used |= bit
-        base = s & clear
-        for add in extend[used]:
-            for i, sh in new:
-                assign[i] = (add >> sh) & 3
-            yield from walk(k + 1, base | add)
+        opening, mask, table = steps[k]
+        key = s & mask
+        for add in table.get(key, ()):
+            for i, x in opening:
+                assign[i] = add >> 2 * x & 3
+            yield from walk(k + 1, s ^ key | add)
 
     yield from walk(0, 0)
 
@@ -450,16 +437,15 @@ def _psi_pass(
         return {}
     order = frontier_order(g)
     pos = {v: k for k, v in enumerate(order)}
-    steps = list(_placement_steps(g, _decomposition_fixing(g, order)))
-    # the (edge, shift) pairs each forward step closes and opens
+    layout, width = frontier_layout(g)
+    steps = _placement_steps(g, _decomposition_fixing(g, order))
+    # the (edge, slot) pairs each forward step closes
     closes: list[list[tuple[int, int]]] = []
-    opens: list[list[tuple[int, int]]] = []
-    shift_of: dict[int, int] = {}
-    for v, (_known, new, _clear, _extend) in zip(order, steps):
-        closes.append([(i, shift_of[i]) for i in g.incident_edges(v) if i in shift_of])
-        shift_of.update(new)
-        opens.append(new)
-    mask = sum({1 << sh for sh in shift_of.values()})
+    slot_of: dict[int, int] = {}
+    for v, (_closing, opening) in zip(order, layout):
+        closes.append([(i, slot_of[i]) for i in g.incident_edges(v) if i in slot_of])
+        slot_of.update(opening)
+    mask = sum(1 << 2 * x for x in range(width))
     # e = (order[low], order[high]) opens forward at low, in reverse at
     # high; the reverse pass opens its last zero at step last_open
     low = {i: min(pos[x] for x in g.edges[i]) for i in indexes}
@@ -470,28 +456,27 @@ def _psi_pass(
     forward: dict[int, dict[int, int]] = {}
     states = {0: 1}
     for k in range(max(keep, default=-1) + 1):
-        known, _new, clear, extend = steps[k]
-        states = _advance(states, known, clear, extend)
+        _opening, step_mask, table = steps[k]
+        states = _advance(states, step_mask, table)
         generated = _spend(generated, states, node_budget)
         if k in keep:
             forward[k] = states
 
     last = closes[-1]
-    plain = {sum(c << sh for c, (_, sh) in zip(COLORS, last)): 2}
+    plain = {sum(c << 2 * x for c, (_, x) in zip(COLORS, last)): 2}
     zeros = {
-        i: {sum(1 << sh for j, sh in last if j != i): 1} for i, _ in last if i in low
+        i: {sum(1 << 2 * x for j, x in last if j != i): 1} for i, _ in last if i in low
     }
     counts: dict[int, int] = {}
     for k in range(len(order) - 2, min(low.values()) - 1, -1):
         # in reverse, step k closes what the forward step opened, and back
-        known = [sh for _, sh in opens[k]]
-        clear = ~sum(3 << sh for sh in known)
-        new = closes[k]
-        extend = _extension_table(tuple((sh, None) for _, sh in new))
-        for i, _sh in opens[k]:
+        opened, new = layout[k][1], closes[k]
+        closing = tuple(x for _, x in opened)
+        step_mask, table = _step_table(closing, tuple((x, None) for _, x in new))
+        for i, _x in opened:
             if i in zeros:
-                others = [sh for j, sh in opens[k] if j != i]
-                t_e = _equal_others(zeros.pop(i), others, clear, [sh for _, sh in new])
+                # the zero closes here: the table's zero rule makes the step
+                t_e = _advance(zeros.pop(i), step_mask, table)
                 generated = _spend(generated, t_e, node_budget)
                 total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
                 if total % 2:
@@ -500,36 +485,18 @@ def _psi_pass(
                     )
                 counts[i] = total // 2
         for i in zeros:
-            zeros[i] = _advance(zeros[i], known, clear, extend)
+            zeros[i] = _advance(zeros[i], step_mask, table)
             generated = _spend(generated, zeros[i], node_budget)
-        for i, _sh in new:
+        for i, _x in new:
             if i in low:
-                paint = [sh for j, sh in new if j != i]
-                zeros[i] = _equal_others(plain, known, clear, paint)
+                # the zero opens here, as a pin 0 on e
+                pinned = tuple((x, 0 if j == i else None) for j, x in new)
+                zeros[i] = _advance(plain, *_step_table(closing, pinned))
                 generated = _spend(generated, zeros[i], node_budget)
         if k > last_open:
-            plain = _advance(plain, known, clear, extend)
+            plain = _advance(plain, step_mask, table)
             generated = _spend(generated, plain, node_budget)
     return {i: counts[i] for i in indexes}
-
-
-def _equal_others(
-    states: dict[int, int], others: list[int], clear: int, new: list[int]
-) -> dict[int, int]:
-    """The step at an end of the zero edge: the vertex's two other edges,
-    the known ones at shifts ``others`` and the opening ones at ``new``,
-    must share one color, so that the three sum to zero."""
-    paint = [sum(c << sh for sh in new) for c in range(4)]
-    nxt: dict[int, int] = {}
-    for s, n_s in states.items():
-        colors = {s >> sh & 3 for sh in others}
-        if len(colors) > 1:
-            continue
-        base = s & clear
-        for c in colors or COLORS:
-            t = base | paint[c]
-            nxt[t] = nxt.get(t, 0) + n_s
-    return nxt
 
 
 def _relabelled_sum(a: dict[int, int], b: dict[int, int], mask: int) -> int:

@@ -361,32 +361,36 @@ def _greedy_order(
     frontier edge (``by_age``) or else to the smaller label, and go on at
     the smallest unplaced vertex when a component runs out.  Returns (sum
     of 3^|frontier| over the steps, order), or None once the sum reaches
-    ``bound``."""
-    placed = [False] * g.n
-    seen = [0] * g.n  # placed neighbours of each unplaced vertex
-    first = [0] * g.n  # step at which its oldest frontier edge appeared
-    cands: set[int] = set()
+    ``bound``.  Each candidate's rank is one int whose base-n digits are 3
+    minus its placed neighbours, under ``by_age`` the step of its oldest
+    frontier edge, and its label, so the least rank mod n is the next
+    vertex."""
+    n = g.n
+    placed = [False] * n
+    seen = [0] * n  # placed neighbours of each unplaced vertex
+    first = [0] * n  # n * the step at which its oldest frontier edge appeared
+    cands: dict[int, int] = {}  # unplaced vertex with a placed neighbour -> rank
     order: list[int] = []
     width = cost = 0
-    key = (lambda w: (-seen[w], first[w], w)) if by_age else (lambda w: (-seen[w], w))
+    lead = n * n if by_age else n
     v = start
-    for step in range(g.n):
+    for step in range(n):
         order.append(v)
         placed[v] = True
-        cands.discard(v)
+        cands.pop(v, None)
         width += g.valence(v) - 2 * seen[v]
         cost += 3**width
         if cost >= bound:
             return None
         for w in g.neighbors(v):
             if not placed[w]:
-                if not seen[w]:
-                    first[w] = step
-                    cands.add(w)
+                if not seen[w] and by_age:
+                    first[w] = step * n
                 seen[w] += 1
+                cands[w] = (3 - seen[w]) * lead + first[w] + w
         if cands:
-            v = min(cands, key=key)
-        elif step + 1 < g.n:
+            v = min(cands.values()) % n
+        elif step + 1 < n:
             v = placed.index(False)
     return cost, tuple(order)
 
@@ -412,6 +416,43 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
     return order
 
 
+Layout = tuple[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...], int]
+
+
+def frontier_layout(g: Graph) -> Layout:
+    """(steps, width): the slots every frontier DP keeps its frontier edges
+    in, derived once from frontier_order(g) and stored with it as
+    ``_frontier_layout``.  Step k places the k-th vertex of the order and
+    is (closing, opening): the slots of the edges back to placed vertices,
+    which it frees, in incidence order, and the (edge, slot) pairs of the
+    edges it opens, each taking the last freed slot or else a new one.
+    ``width`` counts the slots.  The layout is rebuilt whenever the stored
+    order is not the one it was derived from."""
+    order = frontier_order(g)
+    stored = getattr(g, "_frontier_layout", None)
+    if stored is None or stored[0] is not order:
+        placed = [False] * g.n
+        slot: dict[int, int] = {}
+        free: list[int] = []
+        steps = []
+        for v in order:
+            placed[v] = True
+            closing: list[int] = []
+            opening: list[tuple[int, int]] = []
+            for i in g.incident_edges(v):
+                a, b = g.edges[i]
+                if placed[a] and placed[b]:
+                    closing.append(slot[i])
+                    free.append(slot.pop(i))
+                else:
+                    slot[i] = free.pop() if free else len(slot) + len(free)
+                    opening.append((i, slot[i]))
+            steps.append((tuple(closing), tuple(opening)))
+        stored = (order, (tuple(steps), len(free)))
+        object.__setattr__(g, "_frontier_layout", stored)
+    return stored[1]
+
+
 def two_factor_fold(
     g: Graph,
     close: Callable[[int, bool, int], int],
@@ -425,76 +466,87 @@ def two_factor_fold(
     Frontier DP over 2-factors (the mate-and-parity technique of Knuth's
     SIMPATH, TAOCP 7.1.4, as generalised by Kawahara, Inoue, Iwashita and
     Minato, IEICE Trans. Fundamentals 2017).  The vertices are placed in
-    frontier_order(g); a frontier edge has exactly one placed end.  A
-    state gives each frontier edge -1 when it is outside the factor, or
-    else its path's mate, mark count and parity, packed as
-    ``span * mate + 2 * marks + parity``: the mate is the frontier edge at
-    the other end of its open path, the marks are the marked edges on
-    that path and the parity is its edge count mod 2.  Each state maps to
-    the summed weight of the partial factors reaching it.  A placed vertex
-    takes exactly two factor edges, never a banned one, and every marked
-    edge it opens: with no factor edge coming in it opens a path of two
-    edges, with one it extends that path, and with two it joins their
-    paths or, when the two are mates, closes a cycle.  A closure
-    multiplies the weight by ``close(parity, last, marks)``, the cycle's
-    length mod 2, whether the vertex is the last of the order, and the
-    marked edges on the cycle; 0 forbids it.
+    frontier_order(g), and each frontier edge, an edge with exactly one
+    placed end, keeps its frontier_layout slot.  A state packs one field
+    per slot into an int: 0 when the edge is outside the factor, or else
+    ``1 | tail << 1 | mate << k``, where ``mate`` is the slot of the
+    frontier edge at the other end of its open path, ``tail`` is
+    ``2 * marks + parity``, the marked edges on that path and its edge
+    count mod 2, and ``k`` leaves room for the largest tail that
+    ``len(marked)`` allows.  Each state maps to the summed weight of the
+    partial factors reaching it.  A placed vertex takes exactly two factor
+    edges, never a banned one, and every marked edge it opens: with no
+    factor edge coming in it opens a path of two edges, with one it
+    extends that path, and with two it joins their paths or, when the two
+    are mates, closes a cycle.  A closure multiplies the weight by
+    ``close(parity, last, marks)``, the cycle's length mod 2, whether the
+    vertex is the last of the order, and the marked edges on the cycle; 0
+    forbids it.  What a step does to a state depends only on its closing
+    slots' fields, so each step memoizes, per value of those fields, the
+    moves (cleared fields, added fields, factor), a move that extends or
+    joins paths rewriting the far ends' fields to their new mates.
     """
-    span = 2 * len(marked) + 2  # the packed (marks, parity) pairs per mate
-    front: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for step, v in enumerate(frontier_order(g)):
-        inc = g.incident_edges(v)
-        at = {i: k for k, i in enumerate(front)}
-        closing = [(i, at[i]) for i in inc if i in at]
-        opening = [i for i in inc if i not in banned and i not in at]
-        keep = [k for k, i in enumerate(front) if i not in inc]
-        front = [front[k] for k in keep] + opening
-        pos = {i: k for k, i in enumerate(front)}
-        idle = [-1] * len(opening)
+    steps, width = frontier_layout(g)
+    k = 1 + (2 * len(marked) + 1).bit_length()
+    tails = (1 << k - 1) - 1
+    span = k + max(1, (width - 1).bit_length())  # bits per slot
+    ones = (1 << span) - 1
+    states = {0: 1}
+    for step, (closing, opening) in enumerate(steps):
         last = step == g.n - 1
-        # the ways to take k of the opened edges into the factor: each takes
-        # every marked one, so each adds the same packed mark count
-        must = {i for i in opening if i in marked}
-        picks = [[ys for ys in combinations(opening, k) if must <= set(ys)] for k in (1, 2)]
+        mask = sum(ones << span * x for x in closing)
+        # the ways to take 1 or 2 of the opened edges into the factor: each
+        # takes every marked one, so each adds the same mark count
+        free = [(i, x) for i, x in opening if i not in banned]
+        must = {x for i, x in free if i in marked}
+        picks = [
+            [ys for ys in combinations([x for _, x in free], j) if must <= set(ys)]
+            for j in (1, 2)
+        ]
         gain = 2 * len(must)
-        nxt: dict[tuple[int, ...], int] = {}
+        moves: dict[int, list[tuple[int, int, int]]] = {}
+        nxt: dict[int, int] = {}
         for s, w in states.items():
-            ins = [(i, s[k]) for i, k in closing if s[k] >= 0]
-            base = [s[k] for k in keep] + idle
-            grown: list[list[int]] = []
-            if not ins:
-                for a, b in picks[1]:
-                    t = base[:]
-                    t[pos[a]], t[pos[b]] = span * b + gain, span * a + gain
-                    grown.append(t)
-            elif len(ins) == 1:
-                ((_x, c),) = ins
-                mate, tail = divmod(c, span)
-                tag = (tail ^ 1) + gain
-                for (y,) in picks[0]:
-                    t = base[:]
-                    t[pos[y]], t[pos[mate]] = span * mate + tag, span * y + tag
-                    grown.append(t)
-            elif len(ins) == 2 and not must:
-                (_x, cx), (y, cy) = ins
-                (mx, tx), (my, ty) = divmod(cx, span), divmod(cy, span)
-                if mx == y:
-                    factor = close(tx & 1, last, tx >> 1)
-                    if factor:
-                        grown.append(base)
-                        w *= factor
-                else:
-                    tag = ((tx ^ ty) & 1) + 2 * ((tx >> 1) + (ty >> 1))
-                    base[pos[mx]], base[pos[my]] = span * my + tag, span * mx + tag
-                    grown.append(base)
-            for t in grown:
-                key = tuple(t)
-                nxt[key] = nxt.get(key, 0) + w
+            key = s & mask
+            todo = moves.get(key)
+            if todo is None:
+                todo = moves[key] = []
+                ins = [x for x in closing if key >> span * x & 1]
+                # each new field is head | mate << k, shifted to its slot
+                if not ins:
+                    head = 1 | gain << 1
+                    for a, b in picks[1]:
+                        add = (head | b << k) << span * a | (head | a << k) << span * b
+                        todo.append((~mask, add, 1))
+                elif len(ins) == 1:
+                    # the other closing fields are 0, so the shift isolates x's
+                    c = key >> span * ins[0]
+                    mate, head = c >> k, 1 | ((c >> 1 & tails ^ 1) + gain) << 1
+                    clear = ~(mask | ones << span * mate)
+                    for (y,) in picks[0]:
+                        add = (head | mate << k) << span * y | (head | y << k) << span * mate
+                        todo.append((clear, add, 1))
+                elif len(ins) == 2 and not must:
+                    x, y = ins
+                    cx, cy = key >> span * x & ones, key >> span * y & ones
+                    mx, my = cx >> k, cy >> k
+                    tx, ty = cx >> 1 & tails, cy >> 1 & tails
+                    if mx == y:
+                        factor = close(tx & 1, last, tx >> 1)
+                        if factor:
+                            todo.append((~mask, 0, factor))
+                    else:
+                        head = 1 | ((tx ^ ty) & 1 | (tx >> 1) + (ty >> 1) << 1) << 1
+                        clear = ~(mask | ones << span * mx | ones << span * my)
+                        add = (head | my << k) << span * mx | (head | mx << k) << span * my
+                        todo.append((clear, add, 1))
+            for clear, add, factor in todo:
+                t = s & clear | add
+                nxt[t] = nxt.get(t, 0) + w * factor
         states = nxt
         if not states:
             return 0
-    return states.get((), 0)
+    return states.get(0, 0)
 
 
 def hamiltonian_cycle_count(g: Graph) -> int:

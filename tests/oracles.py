@@ -16,13 +16,15 @@ one even cycle.  Kempe chains come from a DFS over the two-colored edges
 that finds path ends by counting chain edges per vertex (the package
 walks the chain), and pentagon-union components from growing the
 pentagon's edge set until it is stable (the package takes a component of
-the pentagon-edge subgraph).
+the pentagon-edge subgraph).  The frontier order's greedy search keeps its
+former tuple keys and key function here (the package ranks candidates by
+one packed int).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 
@@ -505,3 +507,48 @@ def pentagon_union_by_growth(g: Graph, p: Cycle) -> set[tuple[int, int]]:
                 comp.add(pair)
                 grew = True
     return comp
+
+
+def greedy_order_by_tuple_keys(
+    g: Graph, start: int, by_age: bool, bound: float
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """graph._greedy_order with the candidates in a set, picked by
+    ``min`` over the key (-placed neighbours, step of the oldest frontier
+    edge, label), or (-placed neighbours, label)."""
+    placed = [False] * g.n
+    seen = [0] * g.n
+    first = [0] * g.n
+    cands: set[int] = set()
+    order: list[int] = []
+    width = cost = 0
+    key = (lambda w: (-seen[w], first[w], w)) if by_age else (lambda w: (-seen[w], w))
+    v = start
+    for step in range(g.n):
+        order.append(v)
+        placed[v] = True
+        cands.discard(v)
+        width += g.valence(v) - 2 * seen[v]
+        cost += 3**width
+        if cost >= bound:
+            return None
+        for w in g.neighbors(v):
+            if not placed[w]:
+                if not seen[w]:
+                    first[w] = step
+                    cands.add(w)
+                seen[w] += 1
+        if cands:
+            v = min(cands, key=key)
+        elif step + 1 < g.n:
+            v = placed.index(False)
+    return cost, tuple(order)
+
+
+def frontier_order_by_tuple_keys(g: Graph) -> tuple[int, ...]:
+    """The best of the 2n greedy orders (every start, both tie rules) by
+    the sum of 3^|frontier|, the first found winning ties."""
+    best = (float("inf"), ())
+    for start in range(g.n):
+        for by_age in (True, False):
+            best = greedy_order_by_tuple_keys(g, start, by_age, best[0]) or best
+    return best[1]

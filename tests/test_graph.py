@@ -9,6 +9,7 @@ from oracles import (
     cyclic_connectivity_violated_by_bridges,
     cyclic_connectivity_violated_by_matchings,
     cyclic_connectivity_violated_exhaustive,
+    frontier_order_by_tuple_keys,
     hamiltonian_by_backtracking,
     hamiltonian_by_cycle_enumeration,
     hamiltonian_cycles_by_permutations,
@@ -28,6 +29,7 @@ from snarkforge.graph import (
     delete_edges,
     delete_vertices,
     find_cycles,
+    frontier_layout,
     frontier_order,
     girth,
     hamiltonian_cycle_count,
@@ -292,6 +294,31 @@ def with_order(g: Graph, order) -> Graph:
     return h
 
 
+def layout_from_scratch(g: Graph, order) -> tuple:
+    """graph.frontier_layout's rule, by vertex positions: the k-th vertex
+    closes the slots of its edges to earlier vertices, in incidence order,
+    and each of its other edges takes the last slot freed so far or else a
+    new one."""
+    pos = {v: k for k, v in enumerate(order)}
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    steps = []
+    top = 0
+    for k, v in enumerate(order):
+        closing, opening = [], []
+        for i in g.incident_edges(v):
+            a, b = g.edges[i]
+            if pos[a + b - v] < k:
+                closing.append(slot_of[i])
+                free.append(slot_of[i])
+            else:
+                slot_of[i] = free.pop() if free else top
+                top = max(top, slot_of[i] + 1)
+                opening.append((i, slot_of[i]))
+        steps.append((tuple(closing), tuple(opening)))
+    return tuple(steps), top
+
+
 @st.composite
 def graphs_with_orders(draw, max_n: int):
     """A random cubic graph, possibly disconnected, a random vertex order
@@ -316,6 +343,19 @@ class TestFrontierOrder:
         random.Random(seed).shuffle(perm)
         h = Graph.from_edges(g.n + isolated, [(perm[u], perm[v]) for u, v in g.edges])
         assert sorted(frontier_order(h)) == list(range(h.n))
+        assert frontier_order(h) == frontier_order_by_tuple_keys(h)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(cubic_graphs(20))
+    def test_order_equals_tuple_key_search(self, g):
+        # the packed candidate ranks pick what the tuple keys picked
+        assert frontier_order(g) == frontier_order_by_tuple_keys(g)
+
+    def test_order_equals_tuple_key_search_on_hosts(self):
+        hosts = [flower(n) for n in range(5, 22, 2)]
+        hosts += [evaluate_text(r) for r in superpose_chain_family(5)]
+        for g in hosts:
+            assert frontier_order(g) == frontier_order_by_tuple_keys(Graph(g.n, g.edges))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(graphs_with_orders(12))
@@ -343,6 +383,26 @@ class TestFrontierOrder:
         reduced = contract_removed_edge(with_order(g, order), i)[0]
         mapping = delete_vertices(g, g.edges[i])[1]
         assert frontier_order(reduced) == tuple(mapping[w] for w in order if w in mapping)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(graphs_with_orders(12))
+    def test_layout_follows_the_order(self, case):
+        g, order, _d1, _d2 = case
+        assert frontier_layout(with_order(g, order)) == layout_from_scratch(g, order)
+        # a layout stored for another order is rebuilt, never read stale
+        frontier_layout(g)
+        object.__setattr__(g, "_frontier_order", tuple(order))
+        assert frontier_layout(g) == layout_from_scratch(g, order)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["(petersen)", "(flower 5)", "(flower 7)",
+                            *list(superpose_chain_family(1))[1:]]), st.data())
+    def test_smoothed_layout_follows_inherited_order(self, recipe, data):
+        g = evaluate_text(recipe)
+        frontier_layout(g)
+        reduced = contract_removed_edge(g, data.draw(st.integers(0, g.m - 1)))[0]
+        order = frontier_order(reduced)
+        assert frontier_layout(reduced) == layout_from_scratch(reduced, order)
 
 
 class TestCyclicConnectivity:
