@@ -227,9 +227,15 @@ def _search_colorings(
 
 def count_colorings(g: Graph, node_budget: Optional[int] = None) -> int:
     """Exact number of proper edge-3-colorings of a connected graph with
-    maximum valence 3."""
+    maximum valence 3: with a trivalent vertex, six times the count pinned
+    at count_decompositions' pivot, since each coloring is one of the six
+    color permutations of one pinned coloring; ``node_budget`` caps the
+    states of that pinned fold.  Paths and cycles take the plain fold."""
     _check_colorable_shape(g)
-    return _count_frontier(g, node_budget=node_budget)
+    if max(map(g.valence, range(g.n))) < 3:
+        return _count_frontier(g, node_budget=node_budget)
+    pins = _decomposition_fixing(g, frontier_order(g))
+    return 6 * _count_frontier(g, pins, node_budget)
 
 
 def enumerate_colorings(g: Graph) -> Iterator[EdgeColoring]:

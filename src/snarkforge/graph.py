@@ -696,6 +696,13 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     ``_violating_with_more`` finds such a last bridge or cut pair in one DFS
     per enumerated matching; at level 2 only the empty matching is
     enumerated and the last edge is a bridge.
+
+    Orbit pruning.  The DFS judges S and its image under an automorphism
+    alike, so the least edge of S ranges over orbit minima only
+    (isomorphism.edge_orbits).  Let r be the least orbit minimum among S's
+    edges, at s: an automorphism taking s to r takes every other edge of S
+    into an orbit with minimum at least r, onto an edge other than r, so
+    above r, and the image of S is enumerated with r first.
     """
     if n < 2:
         raise DomainError("connectivity level must be at least 2")
@@ -711,22 +718,27 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     used = [False] * g.n
     more = 1 if n == 2 else 2
 
-    def rec(start: int, room: int) -> bool:
+    def rec(choices: Iterable[int], room: int) -> bool:
         if _violating_with_more(adj, removed, more):
             return True
         if room == 0:
             return False
-        for i in range(start, g.m):
+        for i in choices:
             u, v = g.edges[i]
             if used[u] or used[v]:
                 continue
             removed[i] = True
             used[u] = used[v] = True
-            hit = rec(i + 1, room - 1)
+            hit = rec(range(i + 1, g.m), room - 1)
             removed[i] = False
             used[u] = used[v] = False
             if hit:
                 return True
         return False
 
-    return not rec(0, n - 1 - more)
+    # the least removed edge is an orbit minimum (a function-level import:
+    # isomorphism imports this module)
+    from .isomorphism import edge_orbits
+
+    reps = [orbit[0] for orbit in edge_orbits(g)] if n > 3 else ()
+    return not rec(reps, n - 1 - more)

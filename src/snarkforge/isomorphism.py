@@ -7,7 +7,16 @@ each step is at most the valence.  Candidates are filtered by a per-vertex
 invariant (valence plus the sorted multiset of BFS distances to all
 vertices), and a candidate is kept only when its already-mapped neighbors
 are exactly the images of the vertex's already-mapped neighbors.  Only
-component roots scan every vertex of the target.
+component roots scan every vertex of the target.  A search may pin
+vertices to given images; its BFS order then starts at the pins.
+
+Edge orbits come from a few pinned searches (orbit pruning, as in McKay
+and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
+(2014)) over the invariant refined to a stable coloring: an edge not yet
+in an orbit gets the ends of each earlier representative pinned on its
+own, both ways where the colors agree.  A map found joins every edge with
+its image, and with none the edge starts an orbit.  A complete pinned
+search finds a map whenever one exists, so the orbits are exact.
 """
 
 from __future__ import annotations
@@ -17,46 +26,55 @@ from typing import Iterator, Optional
 from .graph import Graph
 
 
-def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
-    rows = []
+def _invariants(g: Graph) -> list[tuple]:
+    """Per vertex: its valence and its sorted BFS distances to all vertices."""
+    out = []
     for root in range(g.n):
         dist = [-1] * g.n
         dist[root] = 0
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:  # the loop reaches the vertices appended on the way
             for w in g.neighbors(u):
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        rows.append(tuple(dist))
-    return rows
+        out.append((g.valence(root), tuple(sorted(dist))))
+    return out
 
 
-def _invariants(g: Graph) -> list[tuple]:
-    rows = _distance_rows(g)
-    return [
-        (g.valence(v), tuple(sorted(rows[v])))
-        for v in range(g.n)
-    ]
+def _refine(g: Graph, colors: list) -> list[int]:
+    """Split the color classes by their members' multisets of neighbor
+    colors until none splits; automorphisms keeping ``colors`` keep these."""
+    out, count = colors, 0
+    while True:
+        signs = [(out[v], tuple(sorted(out[w] for w in g.neighbors(v)))) for v in range(g.n)]
+        ranks = {s: k for k, s in enumerate(sorted(set(signs)))}
+        out = [ranks[s] for s in signs]
+        if len(ranks) == count:
+            return out
+        count = len(ranks)
 
 
-def _match(g: Graph, h: Graph) -> Iterator[list[int]]:
-    """Yield vertex bijections g -> h preserving adjacency."""
+def _match(
+    g: Graph, h: Graph, pins: Optional[dict[int, int]] = None, colors: Optional[list] = None
+) -> Iterator[list[int]]:
+    """Yield vertex bijections g -> h preserving adjacency, each sending
+    every vertex u in ``pins`` to pins[u].  A vertex and its image agree on
+    _invariants, or, in a search of g against itself, on ``colors``."""
     if g.n != h.n or g.m != h.m:
         return
-    gi = _invariants(g)
+    pins = pins or {}
+    gi = _invariants(g) if colors is None else colors
     hi = gi if h is g else _invariants(h)
-    if sorted(gi) != sorted(hi):
+    if hi is not gi and sorted(gi) != sorted(hi):
         return
-    # BFS order: every vertex but a component root has a mapped BFS parent,
-    # and its image must be a neighbor of that parent's image.
+    # BFS order from the pinned vertices first: every vertex but a
+    # component root has a mapped BFS parent, and its image must be a
+    # neighbor of that parent's image.
     order: list[int] = []
     parent = [-1] * g.n
     seen = [False] * g.n
-    for s in range(g.n):
+    for s in (*pins, *range(g.n)):
         if seen[s]:
             continue
         seen[s] = True
@@ -84,7 +102,10 @@ def _match(g: Graph, h: Graph) -> Iterator[list[int]]:
             return
         u = order[k]
         back = earlier[k]
-        pool = range(h.n) if parent[u] < 0 else h.neighbors(image[parent[u]])
+        if u in pins:
+            pool = (pins[u],)
+        else:
+            pool = range(h.n) if parent[u] < 0 else h.neighbors(image[parent[u]])
         for x in pool:
             if used[x] or hi[x] != gi[u]:
                 continue
@@ -125,35 +146,32 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _orbit_partition(size: int, images) -> list[list[int]]:
-    """Classes of 0..size-1 under the maps in ``images`` (each a list
-    sending i to its image), each class sorted, classes ordered by least
-    member."""
-    parent = list(range(size))
-    for image in images:
-        for i in range(size):
-            ri, rj = _find(parent, i), _find(parent, image[i])
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(size):
-        groups.setdefault(_find(parent, i), []).append(i)
-    return sorted((sorted(v) for v in groups.values()), key=lambda o: o[0])
-
-
 def edge_orbits(g: Graph) -> list[list[int]]:
     """Partition of edge indexes into automorphism orbits, each orbit
-    sorted, orbits ordered by least member."""
-    return _orbit_partition(
-        g.m,
-        (
-            [g.edge_index(perm[u], perm[v]) for u, v in g.edges]
-            for perm in automorphisms(g)
-        ),
-    )
+    sorted, orbits ordered by least member: found once per graph value by
+    pinned searches (see above) and stored on it as ``_edge_orbits``."""
+    if getattr(g, "_edge_orbits", None) is None:
+        object.__setattr__(g, "_edge_orbits", _pinned_orbits(g))
+    return [list(orbit) for orbit in g._edge_orbits]
 
 
-def vertex_orbits(g: Graph) -> list[list[int]]:
-    """Automorphism orbits on vertices, same ordering conventions as
-    edge_orbits."""
-    return _orbit_partition(g.n, automorphisms(g))
+def _pinned_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
+    colors = _refine(g, _invariants(g))
+    root = list(range(g.m))  # union-find over edges, rooted at least members
+    reps: list[int] = []
+    for j, (a, b) in enumerate(g.edges):
+        if _find(root, j) < j:
+            continue  # already joined with an earlier representative
+        # the first map found by the pinned searches, each representative's
+        # ends onto (a, b) or (b, a) where their colors agree
+        perm = next((m for p, q in (g.edges[r] for r in reps) for x, y in ((a, b), (b, a))
+                     if colors[p] == colors[x] and colors[q] == colors[y]
+                     for m in _match(g, g, {p: x, q: y}, colors)), None)
+        if perm is None:
+            reps.append(j)
+            continue
+        for i, (u, v) in enumerate(g.edges):
+            ri, rj = _find(root, i), _find(root, g.edge_index(perm[u], perm[v]))
+            root[max(ri, rj)] = min(ri, rj)
+    roots = [_find(root, i) for i in range(g.m)]
+    return tuple(tuple(i for i in range(g.m) if roots[i] == r) for r in reps)

@@ -55,7 +55,11 @@ class PsiRecord:
         """Check the record's invariants.  ``edge_counts`` maps the graph6
         strings already decoded to their edge counts; a Ledger hands every
         record it loads or appends the same dict, so each distinct string
-        is decoded once."""
+        is decoded once.
+
+        The ``18 * psi == ec_count`` check holds by construction for the
+        records a search writes (evaluate_recipe_records stores 6 times the
+        count psi is a third of), so it catches only lines written elsewhere."""
         if self.psi * 18 != self.ec_count:
             raise DomainError(
                 f"psi {self.psi} inconsistent with coloring count {self.ec_count}"

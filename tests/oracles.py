@@ -18,7 +18,10 @@ walks the chain), and pentagon-union components from growing the
 pentagon's edge set until it is stable (the package takes a component of
 the pentagon-edge subgraph).  The frontier order's greedy search keeps its
 former tuple keys and key function here (the package ranks candidates by
-one packed int).
+one packed int).  Edge and vertex orbits come from listing every
+automorphism with the package's unpinned matcher, which test_isomorphism
+checks against networkx (the package finds edge orbits from a few pinned
+searches).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import networkx as nx
 from snarkforge.coloring import EdgeColoring, enumerate_decompositions
 from snarkforge.errors import DomainError
 from snarkforge.graph import Cycle, Graph, list_pentagons
+from snarkforge.isomorphism import automorphisms
 from snarkforge.kempe import kempe_chain_two_colors
 
 
@@ -552,3 +556,45 @@ def frontier_order_by_tuple_keys(g: Graph) -> tuple[int, ...]:
         for by_age in (True, False):
             best = greedy_order_by_tuple_keys(g, start, by_age, best[0]) or best
     return best[1]
+
+
+def orbit_partition(size: int, images) -> list[list[int]]:
+    """Classes of 0..size-1 under the maps in ``images`` (each a list
+    sending i to its image), each class sorted, classes ordered by least
+    member."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for image in images:
+        for i in range(size):
+            ri, rj = find(i), find(image[i])
+            if ri != rj:
+                parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(size):
+        groups.setdefault(find(i), []).append(i)
+    return sorted((sorted(v) for v in groups.values()), key=lambda o: o[0])
+
+
+def edge_orbits_by_all_automorphisms(g: Graph) -> list[list[int]]:
+    """Partition of edge indexes into automorphism orbits, each orbit
+    sorted, orbits ordered by least member, uniting every edge with its
+    image under every automorphism."""
+    return orbit_partition(
+        g.m,
+        (
+            [g.edge_index(perm[u], perm[v]) for u, v in g.edges]
+            for perm in automorphisms(g)
+        ),
+    )
+
+
+def vertex_orbits(g: Graph) -> list[list[int]]:
+    """Automorphism orbits on vertices, same ordering conventions as
+    edge_orbits_by_all_automorphisms."""
+    return orbit_partition(g.n, automorphisms(g))

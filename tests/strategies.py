@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import networkx as nx
@@ -74,3 +75,37 @@ def planted_cut_graphs(draw, max_side: int) -> Graph:
     cross = draw(st.permutations(free_b))
     pairs += [(name_a[u], name_b[v]) for u, v in zip(free_a, cross)]
     return Graph.from_edges(len(A) + len(B), pairs)
+
+
+def prism_graph(k: int) -> Graph:
+    """The prism C_k x K2: two k-cycles joined rung by rung."""
+    pairs = [(i, (i + 1) % k) for i in range(k)]
+    pairs += [(k + i, k + (i + 1) % k) for i in range(k)]
+    pairs += [(i, k + i) for i in range(k)]
+    return Graph.from_edges(2 * k, pairs)
+
+
+def moebius_ladder(k: int) -> Graph:
+    """The Moebius ladder on 2k vertices: a 2k-cycle plus its k diameters."""
+    pairs = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
+    pairs += [(i, i + k) for i in range(k)]
+    return Graph.from_edges(2 * k, pairs)
+
+
+def generalized_petersen(n: int, s: int) -> Graph:
+    """GP(n, s): an outer n-cycle, spokes, and inner vertices joined s
+    steps apart (2s < n, so the graph is cubic and simple)."""
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(i, n + i) for i in range(n)]
+    pairs += [(n + i, n + (i + s) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, pairs)
+
+
+# builders of edge-transitive or nearly edge-transitive cubic graphs, by
+# name; GP(5,2) is the Petersen graph
+SYMMETRIC_CUBIC = {
+    **{f"prism {k}": functools.partial(prism_graph, k) for k in range(4, 10)},
+    **{f"moebius {k}": functools.partial(moebius_ladder, k) for k in range(4, 10)},
+    **{f"GP({n},2)": functools.partial(generalized_petersen, n, 2) for n in range(5, 13)},
+    **{f"GP({n},3)": functools.partial(generalized_petersen, n, 3) for n in range(7, 13)},
+}

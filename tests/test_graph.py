@@ -16,7 +16,13 @@ from oracles import (
     has_two_disjoint_cycles_by_enumeration,
     to_nx,
 )
-from strategies import cubic_graphs, planted_cut_graphs, random_cubic_union, seeds
+from strategies import (
+    SYMMETRIC_CUBIC,
+    cubic_graphs,
+    planted_cut_graphs,
+    random_cubic_union,
+    seeds,
+)
 from snarkforge.coloring import _count_frontier, count_decompositions, count_same_class
 from snarkforge.covers import even_cover_sum
 from snarkforge.kempe import cocyclic_factor_count
@@ -503,6 +509,33 @@ def test_cyclic_connectivity_pins(text, level, expected):
     assert cyclic_connectivity_violated_by_bridges(g, level - 1) == (not expected)
     if (text, level) not in SLOW_FOR_MATCHINGS:
         assert cyclic_connectivity_violated_by_matchings(g, level - 1) == (not expected)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_CUBIC)
+def test_orbit_pruning_on_symmetric_graphs(name):
+    """Edge-transitive and near edge-transitive graphs, where the first
+    removed edge ranges over a few orbit representatives: every level
+    against the bridge search, and against the matching enumeration where
+    it stays under a fraction of a second."""
+    g = SYMMETRIC_CUBIC[name]()
+    for level in range(2, 7):
+        violated = not cyclically_edge_connected_at_least(g, level)
+        assert violated == cyclic_connectivity_violated_by_bridges(g, level - 1), level
+        if g.m <= 24 or (level <= 4 and g.m <= 36):
+            assert violated == cyclic_connectivity_violated_by_matchings(g, level - 1), level
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 11])
+def test_orbit_pruning_on_flowers(k):
+    """Flowers at levels 2 and 6 (CONNECTIVITY_PINS hold 3 to 5).  Every
+    flower from 7 up is cyclically 6-edge-connected; the bridge search
+    takes 7 s and more to confirm it on flowers 9 and 11."""
+    g = flower(k)
+    for level in (2, 6):
+        violated = not cyclically_edge_connected_at_least(g, level)
+        assert violated == (k == 5 and level == 6), level
+        if k <= 7:
+            assert violated == cyclic_connectivity_violated_by_bridges(g, level - 1), level
 
 
 class TestCycleValue:

@@ -1,10 +1,11 @@
+import functools
 import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from oracles import to_nx
+from oracles import edge_orbits_by_all_automorphisms, to_nx, vertex_orbits
 from snarkforge import isomorphism
 from snarkforge.coloring import psi
 from snarkforge.construct import flower
@@ -14,11 +15,10 @@ from snarkforge.isomorphism import (
     edge_orbits,
     find_isomorphism,
     is_isomorphic,
-    vertex_orbits,
 )
-from snarkforge.ledger import superpose_chain_family
+from snarkforge.ledger import pentagon_join_family, superpose_chain_family
 from snarkforge.recipe import evaluate_text
-from strategies import cubic_graphs, random_cubic_union, seeds
+from strategies import SYMMETRIC_CUBIC, cubic_graphs, random_cubic_union, seeds
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -155,3 +155,57 @@ def test_automorphisms_compute_invariants_once(monkeypatch):
     assert len(edge_orbits(g)) == 4
     assert calls == [g]
     assert is_isomorphic(g, flower(7)) and len(calls) == 3
+
+
+DOT_PRODUCTS = [
+    "(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1)",
+    "(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1 wiring=crossed)",
+    "(dotproduct (flower 5) e1=0 e2=7 (petersen) x=0 y=1)",
+    "(dotproduct (petersen) e1=0 e2=7 (flower 5) x=0 y=1)",
+]
+ORBIT_CASES = {
+    **{text: functools.partial(evaluate_text, text) for text in [
+        *(f"(flower {k})" for k in range(5, 22, 2)),
+        *superpose_chain_family(3),
+        *pentagon_join_family(),
+        *DOT_PRODUCTS,
+    ]},
+    **SYMMETRIC_CUBIC,
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_edge_orbits_match_all_automorphisms(name):
+    g = ORBIT_CASES[name]()
+    assert edge_orbits(g) == edge_orbits_by_all_automorphisms(g)
+
+
+def relabeled_case(name: str, seed: int) -> Graph:
+    g = ORBIT_CASES[name]()
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+@SETTINGS
+@given(st.one_of(
+    cubic_graphs(24),
+    # two copies of one random cubic graph, which an automorphism swaps,
+    # and a third; from order 8 up, the oracle's group listing stays small
+    st.builds(lambda n, s, t: random_cubic_union([(n, s), (n, s), (8, t)]),
+              st.sampled_from(range(8, 13, 2)), seeds, seeds),
+    st.builds(relabeled_case, st.sampled_from(sorted(ORBIT_CASES)), seeds),
+))
+def test_edge_orbits_match_all_automorphisms_at_random(g):
+    assert edge_orbits(g) == edge_orbits_by_all_automorphisms(g)
+
+
+def test_edge_orbits_are_stored_and_returned_fresh(monkeypatch):
+    g = flower(9)
+    expected = edge_orbits_by_all_automorphisms(g)
+    first = edge_orbits(g)
+    first[0].append(-1)
+    first.append([])
+    # a second call reads the stored orbits: no search runs
+    monkeypatch.setattr(isomorphism, "_invariants", None)
+    assert edge_orbits(g) == expected
