@@ -35,7 +35,6 @@ from .coloring import (
 )
 from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
 from .covers import _cover_sum_side
-from .isomorphism import edge_orbits
 from .kempe import cocyclic_factor_count, color_pair_counts
 from .klein import COLORS
 
@@ -244,33 +243,10 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     )
 
 
-# verify_thm_4_8 and verify_thm_5_3 check one surviving factor edge per
-# factor edge orbit, not every one, on a combined graph with more edges
-PER_ORBIT_ABOVE_EDGES = 60
-
-
 def _eligible_edges(res: JoinResult, factor: Graph, block: str) -> list[tuple[int, int]]:
-    """Factor edges that survive into the combined graph's given block,
-    one per factor edge orbit once the combined graph has more than
-    PER_ORBIT_ABOVE_EDGES edges."""
+    """Factor edges that survive into the combined graph's given block."""
     vmap = res.star_map if block == "star" else res.prime_map
-    pairs = [(a, b) for a, b in factor.edges if a in vmap and b in vmap]
-    if res.graph.m > PER_ORBIT_ABOVE_EDGES:
-        return _per_orbit_reps(factor, pairs)
-    return pairs
-
-
-def _per_orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    orbits = edge_orbits(g)
-    orbit_of = {}
-    for oi, orbit in enumerate(orbits):
-        for i in orbit:
-            orbit_of[i] = oi
-    reps: dict[int, tuple[int, int]] = {}
-    for pair in pairs:
-        oi = orbit_of[g.edge_index(*pair)]
-        reps.setdefault(oi, pair)
-    return list(reps.values())
+    return [(a, b) for a, b in factor.edges if a in vmap and b in vmap]
 
 
 def verify_thm_4_8(
@@ -318,7 +294,7 @@ def verify_thm_5_3(
 ) -> TheoremReport:
     """Edge-for-graph superposition: psi of a surviving second-factor edge
     equals twice its factor psi times the replaced edge's psi, every side
-    computed by direct enumeration."""
+    counted with psi_counts' pass, one pass per graph."""
     ref = resolve_edge(gp, e)
     res = superpose_52(gp, ref, gs, u, v)
     big = res.graph

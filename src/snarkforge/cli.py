@@ -22,7 +22,7 @@ from .graph import (
 )
 from .graph6 import decode_graph6, encode_graph6, to_dot
 from .isomorphism import edge_orbits
-from .coloring import count_colorings, count_decompositions, smoothed_psi
+from .coloring import count_colorings, count_decompositions, psi_counts
 from .kempe import orthogonal_pairs
 from .analyze import VERIFIERS, certify_snark
 from .ledger import (
@@ -108,7 +108,8 @@ def cmd_count(args) -> int:
 def cmd_psi(args) -> int:
     g = _load_graph(args)
     certified = is_snark(g)
-    val, ned = smoothed_psi(g, args.edge)
+    (ned,) = psi_counts(g, [args.edge]).values()
+    val = None if ned % 3 else ned // 3
     payload = {
         "psi": val,
         "reduced_ed": ned,

@@ -16,8 +16,9 @@ no smoothing.  The order is searched once per graph value, and a
 smoothed graph inherits its host's order (graph.contract_removed_edge);
 the frontier edges keep the slots of graph.frontier_layout, derived once
 per order.  A step reads one table, cached per shape of the step, from the
-colors of the slots it closes to the packings of the edges it opens, so
-each state costs one lookup.
+colors key of the slots it closes to the XOR deltas key ^ add, one per
+packing add of colors onto the edges it opens, so graph.frontier_step
+moves each state with one lookup.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -41,6 +42,7 @@ from .graph import (
     contract_removed_edge,
     frontier_layout,
     frontier_order,
+    frontier_step,
     is_quasi_cubic,
     pendant_edges,
     resolve_edge,
@@ -114,9 +116,10 @@ def _step_table(
 ) -> tuple[int, _Table]:
     """(mask, table) for a step that closes the ``closing`` slots and opens
     the ``opening`` ones, given as (slot, pin or None) pairs: ``mask``
-    covers the closing slots' two color bits each, and table[s & mask] is
-    every packing of colors onto the opening slots that honours the pins
-    and fits the closing colors in s.  Without a 0 at the vertex, its
+    covers the closing slots' two color bits each, and table[key] holds
+    key ^ add for every packing add of colors onto the opening slots that
+    honours the pins and fits the closing colors key = s & mask, which
+    frontier_step turns into s ^ key ^ add.  Without a 0 at the vertex, its
     colors are distinct and nonzero; a 0, the reverse pass's zero edge in
     psi_counts (closing, or opening as a pin 0), makes every other edge at
     the vertex share one nonzero color, so that the three sum to zero.
@@ -124,16 +127,19 @@ def _step_table(
     width and the colors bound, and shared, so callers only read it."""
     mask = sum(3 << 2 * x for x in closing)
     choices = [COLORS if pin is None else (pin,) for _, pin in opening]
+    slots = [x for x, _ in opening]
+    packed = [(new, sum(c << 2 * x for c, x in zip(new, slots))) for new in product(*choices)]
     table: _Table = {}
     for known in product(range(4), repeat=len(closing)):
         adds = []
-        for new in product(*choices):
+        for new, add in packed:
             here = known + new
             zeros, nonzero = here.count(0), set(here) - {0}
             if (not zeros and len(nonzero) == len(here)) or (zeros == 1 and len(nonzero) < 2):
-                adds.append(sum(c << 2 * x for c, (x, _) in zip(new, opening)))
+                adds.append(add)
         if adds:
-            table[sum(c << 2 * x for c, x in zip(known, closing))] = tuple(adds)
+            key = sum(c << 2 * x for c, x in zip(known, closing))
+            table[key] = tuple(map(key.__xor__, adds))
     return mask, table
 
 
@@ -168,28 +174,11 @@ def _count_frontier(
     states = {0: 1}
     generated = 0
     for _opening, mask, table in _placement_steps(g, fixed):
-        states = _advance(states, mask, table)
+        states = frontier_step(states, mask, table)
         generated = _spend(generated, states, node_budget)
         if not states:
             return 0
     return states.get(0, 0)
-
-
-def _advance(states: dict[int, int], mask: int, table: _Table) -> dict[int, int]:
-    """One placement step of the breadth-first fold: look up each state's
-    closing colors, dropping the states whose colors clash, and extend the
-    rest."""
-    nxt: dict[int, int] = {}
-    get = nxt.get
-    for s, n_s in states.items():
-        key = s & mask
-        adds = table.get(key)
-        if adds:
-            base = s ^ key
-            for add in adds:
-                t = base | add
-                nxt[t] = get(t, 0) + n_s
-    return nxt
 
 
 def _spend(generated: int, states: dict, node_budget: Optional[int]) -> int:
@@ -213,11 +202,11 @@ def _search_colorings(
             yield tuple(assign)
             return
         opening, mask, table = steps[k]
-        key = s & mask
-        for add in table.get(key, ()):
+        for d in table.get(s & mask, ()):
+            t = s ^ d
             for i, x in opening:
-                assign[i] = add >> 2 * x & 3
-            yield from walk(k + 1, s ^ key | add)
+                assign[i] = t >> 2 * x & 3
+            yield from walk(k + 1, t)
 
     yield from walk(0, 0)
 
@@ -336,16 +325,6 @@ def parity_residual(g: Graph, coloring: EdgeColoring) -> int:
 # -- psi -------------------------------------------------------------------
 
 
-def smoothed_psi(
-    g: Graph, e: EdgeLike, node_budget: Optional[int] = None
-) -> tuple[Optional[int], int]:
-    """Remove e, smooth its endpoints away and count the decompositions of
-    the smaller graph: (psi, that count), with psi None when the count is
-    not a multiple of 3, which only happens off the snark domain."""
-    ned = count_decompositions(contract_removed_edge(g, e)[0], node_budget=node_budget)
-    return (None if ned % 3 else ned // 3), ned
-
-
 def psi_from_count(ned: int) -> int:
     """psi from the decomposition count of the smoothed graph: one third
     of it.  The divisibility by 3 is guaranteed for snarks, and its
@@ -360,9 +339,10 @@ def psi_from_count(ned: int) -> int:
 def psi_with_counts(
     g: Graph, e: EdgeLike, node_budget: Optional[int] = None
 ) -> tuple[int, int, int]:
-    """(psi, |ED| of reduced graph, |EC| of reduced graph); the coloring
-    count comes from the decomposition count via the 6x correspondence."""
-    ned = smoothed_psi(g, e, node_budget)[1]
+    """(psi, |ED| of reduced graph, |EC| of reduced graph), counted on the
+    reduced graph itself, a route sharing no state with psi_counts' pass;
+    |EC| comes from |ED| via the 6x correspondence."""
+    ned = count_decompositions(contract_removed_edge(g, e)[0], node_budget=node_budget)
     return psi_from_count(ned), ned, 6 * ned
 
 
@@ -371,8 +351,10 @@ def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
     the graph obtained by removing e and smoothing its endpoints away.
 
     The host must be a snark; the caller asserts it (see
-    analyze.certify_snark)."""
-    return psi_with_counts(g, e, node_budget)[0]
+    analyze.certify_snark).  Counted by psi_counts' pass at e alone, which
+    ``node_budget`` caps."""
+    i = next(_smoothable(g, [e]))
+    return psi_from_count(_psi_pass(g, [i], node_budget)[i])
 
 
 # -- psi at many edges: one forward and one reverse pass ------------------
@@ -381,9 +363,9 @@ def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
 def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
     """The decomposition count of the smoothed graph G_e (e removed, its
     ends smoothed away) at every given edge e, keyed by edge index in the
-    order given: what smoothed_psi counts one edge at a time, from one
-    forward and one reverse pass over the host, with smoothed_psi's
-    DomainErrors at the first edge where it would raise.
+    order given: what psi_with_counts counts one edge at a time, from one
+    forward and one reverse pass over the host, with the DomainErrors of
+    that smoothed route at the first edge where it would raise.
 
     Tait's correspondence (klein.py): giving e the group's zero and both
     edges at each end of e the color of the edge that smooths that end
@@ -411,10 +393,10 @@ def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
 
 
 def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
-    """The index of each given edge in turn, once smoothed_psi's
+    """The index of each given edge in turn, once the smoothed route's
     preconditions hold there, checked with their DomainError texts but
     without smoothing: contract_removed_edge's conditions on the host,
-    checked at the first edge, where smoothed_psi would fail them first,
+    checked at the first edge, where smoothing would fail them first,
     and count_decompositions' connectivity, which the smoothed graph has
     exactly when g without e has it."""
     for k, e in enumerate(edges):
@@ -463,7 +445,7 @@ def _psi_pass(
     states = {0: 1}
     for k in range(max(keep, default=-1) + 1):
         _opening, step_mask, table = steps[k]
-        states = _advance(states, step_mask, table)
+        states = frontier_step(states, step_mask, table)
         generated = _spend(generated, states, node_budget)
         if k in keep:
             forward[k] = states
@@ -482,7 +464,7 @@ def _psi_pass(
         for i, _x in opened:
             if i in zeros:
                 # the zero closes here: the table's zero rule makes the step
-                t_e = _advance(zeros.pop(i), step_mask, table)
+                t_e = frontier_step(zeros.pop(i), step_mask, table)
                 generated = _spend(generated, t_e, node_budget)
                 total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
                 if total % 2:
@@ -491,16 +473,16 @@ def _psi_pass(
                     )
                 counts[i] = total // 2
         for i in zeros:
-            zeros[i] = _advance(zeros[i], step_mask, table)
+            zeros[i] = frontier_step(zeros[i], step_mask, table)
             generated = _spend(generated, zeros[i], node_budget)
         for i, _x in new:
             if i in low:
                 # the zero opens here, as a pin 0 on e
                 pinned = tuple((x, 0 if j == i else None) for j, x in new)
-                zeros[i] = _advance(plain, *_step_table(closing, pinned))
+                zeros[i] = frontier_step(plain, *_step_table(closing, pinned))
                 generated = _spend(generated, zeros[i], node_budget)
         if k > last_open:
-            plain = _advance(plain, step_mask, table)
+            plain = frontier_step(plain, step_mask, table)
             generated = _spend(generated, plain, node_budget)
     return {i: counts[i] for i in indexes}
 

@@ -5,6 +5,12 @@ frontier DP places vertices in, and the frontier DP over 2-factors that
 gives the even-cover sum (covers.py), the orthogonality count (kempe.py)
 and the Hamiltonian cycle count.
 
+Both frontier DPs, the coloring kernel (coloring.py) and the 2-factor
+fold, pack a state into one int, a field per frontier_layout slot, and
+advance it with frontier_step: every move is an XOR delta listed under
+the fields of the slots a step closes, which clears them, sets the
+opened ones and rewrites any other field the move changes.
+
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
 for a given labeled graph.  Every operation returns a fresh graph; nothing
@@ -453,6 +459,28 @@ def frontier_layout(g: Graph) -> Layout:
     return stored[1]
 
 
+def frontier_step(
+    states: dict[int, int], mask: int, table: dict, build: Optional[Callable] = None
+) -> dict[int, int]:
+    """One placement step of either frontier DP: each state s of weight w
+    adds w at s ^ d for every delta d in table[s & mask].  A key missing
+    from ``table`` is a clash, whose states are dropped, or, when
+    ``build`` is given, gets build(key) stored as its deltas."""
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for s, w in states.items():
+        key = s & mask
+        deltas = table.get(key)
+        if deltas is None:
+            if build is None:
+                continue
+            deltas = table[key] = build(key)
+        for d in deltas:
+            t = s ^ d
+            nxt[t] = get(t, 0) + w
+    return nxt
+
+
 def two_factor_fold(
     g: Graph,
     close: Callable[[int, bool, int], int],
@@ -473,28 +501,33 @@ def two_factor_fold(
     frontier edge at the other end of its open path, ``tail`` is
     ``2 * marks + parity``, the marked edges on that path and its edge
     count mod 2, and ``k`` leaves room for the largest tail that
-    ``len(marked)`` allows.  Each state maps to the summed weight of the
-    partial factors reaching it.  A placed vertex takes exactly two factor
-    edges, never a banned one, and every marked edge it opens: with no
-    factor edge coming in it opens a path of two edges, with one it
-    extends that path, and with two it joins their paths or, when the two
-    are mates, closes a cycle.  A closure multiplies the weight by
-    ``close(parity, last, marks)``, the cycle's length mod 2, whether the
-    vertex is the last of the order, and the marked edges on the cycle; 0
-    forbids it.  What a step does to a state depends only on its closing
-    slots' fields, so each step memoizes, per value of those fields, the
-    moves (cleared fields, added fields, factor), a move that extends or
-    joins paths rewriting the far ends' fields to their new mates.
+    ``len(marked)`` allows; both ends of a path carry its tail.  Each
+    state maps to the summed weight of the partial factors reaching it.
+    A placed vertex takes exactly two factor edges, never a banned one,
+    and every marked edge it opens: with no factor edge coming in it opens
+    a path of two edges, with one it extends that path, and with two it
+    joins their paths or, when the two are mates, closes a cycle, whose
+    weight ``close(parity, last, marks)`` reads from its length mod 2,
+    whether the vertex is the last of the order, and its marked edges.
+    That weight is a small non-negative multiplicity (every rule in the
+    package returns 0, 1 or 2), 0 forbidding the cycle.
+
+    frontier_step builds each step's deltas once per value of its closing
+    fields.  A delta clears those fields (it starts from the key), sets
+    the opened ones and rewrites the far end of each path extended or
+    joined: that end's old field holds the path's tail and the closing
+    slot as its mate, so the key alone gives it.  A closed cycle's delta
+    is the key alone, listed ``close(...)`` times.
     """
     steps, width = frontier_layout(g)
     k = 1 + (2 * len(marked) + 1).bit_length()
-    tails = (1 << k - 1) - 1
+    low = (1 << k) - 1
+    tails = low >> 1
     span = k + max(1, (width - 1).bit_length())  # bits per slot
     ones = (1 << span) - 1
     states = {0: 1}
     for step, (closing, opening) in enumerate(steps):
         last = step == g.n - 1
-        mask = sum(ones << span * x for x in closing)
         # the ways to take 1 or 2 of the opened edges into the factor: each
         # takes every marked one, so each adds the same mark count
         free = [(i, x) for i, x in opening if i not in banned]
@@ -504,46 +537,43 @@ def two_factor_fold(
             for j in (1, 2)
         ]
         gain = 2 * len(must)
-        moves: dict[int, list[tuple[int, int, int]]] = {}
-        nxt: dict[int, int] = {}
-        for s, w in states.items():
-            key = s & mask
-            todo = moves.get(key)
-            if todo is None:
-                todo = moves[key] = []
-                ins = [x for x in closing if key >> span * x & 1]
-                # each new field is head | mate << k, shifted to its slot
-                if not ins:
-                    head = 1 | gain << 1
-                    for a, b in picks[1]:
-                        add = (head | b << k) << span * a | (head | a << k) << span * b
-                        todo.append((~mask, add, 1))
-                elif len(ins) == 1:
-                    # the other closing fields are 0, so the shift isolates x's
-                    c = key >> span * ins[0]
-                    mate, head = c >> k, 1 | ((c >> 1 & tails ^ 1) + gain) << 1
-                    clear = ~(mask | ones << span * mate)
-                    for (y,) in picks[0]:
-                        add = (head | mate << k) << span * y | (head | y << k) << span * mate
-                        todo.append((clear, add, 1))
-                elif len(ins) == 2 and not must:
-                    x, y = ins
-                    cx, cy = key >> span * x & ones, key >> span * y & ones
-                    mx, my = cx >> k, cy >> k
-                    tx, ty = cx >> 1 & tails, cy >> 1 & tails
-                    if mx == y:
-                        factor = close(tx & 1, last, tx >> 1)
-                        if factor:
-                            todo.append((~mask, 0, factor))
-                    else:
-                        head = 1 | ((tx ^ ty) & 1 | (tx >> 1) + (ty >> 1) << 1) << 1
-                        clear = ~(mask | ones << span * mx | ones << span * my)
-                        add = (head | my << k) << span * mx | (head | mx << k) << span * my
-                        todo.append((clear, add, 1))
-            for clear, add, factor in todo:
-                t = s & clear | add
-                nxt[t] = nxt.get(t, 0) + w * factor
-        states = nxt
+
+        def build(key: int) -> list[int]:
+            # each new field is head | mate << k, shifted to its slot
+            ins = [x for x in closing if key >> span * x & 1]
+            if not ins:
+                head = 1 | gain << 1
+                return [
+                    (head | b << k) << span * a | (head | a << k) << span * b
+                    for a, b in picks[1]
+                ]
+            if len(ins) == 1:
+                # the other closing fields are 0, so the shift isolates x's
+                x = ins[0]
+                c = key >> span * x
+                mate, head = c >> k, 1 | ((c >> 1 & tails ^ 1) + gain) << 1
+                far = c & low | x << k
+                return [
+                    key ^ (head | mate << k) << span * y ^ (far ^ (head | y << k)) << span * mate
+                    for (y,) in picks[0]
+                ]
+            if len(ins) == 2 and not must:
+                x, y = ins
+                cx, cy = key >> span * x & ones, key >> span * y & ones
+                mx, my = cx >> k, cy >> k
+                tx, ty = cx >> 1 & tails, cy >> 1 & tails
+                if mx == y:
+                    return [key] * close(tx & 1, last, tx >> 1)
+                head = 1 | ((tx ^ ty) & 1 | (tx >> 1) + (ty >> 1) << 1) << 1
+                far_x, far_y = cx & low | x << k, cy & low | y << k
+                return [
+                    key ^ (far_x ^ (head | my << k)) << span * mx
+                    ^ (far_y ^ (head | mx << k)) << span * my
+                ]
+            return []
+
+        mask = sum(ones << span * x for x in closing)
+        states = frontier_step(states, mask, {}, build)
         if not states:
             return 0
     return states.get(0, 0)

@@ -243,7 +243,7 @@ def evaluate_recipe_records(
     }
     orbits = edge_orbits(g)
     t0 = time.perf_counter()
-    # the first representative that fails smoothed_psi's preconditions ends
+    # the first representative that fails the smoothing preconditions ends
     # the recipe after the records of those before it
     reps: list[int] = []
     failure = None

@@ -21,7 +21,10 @@ former tuple keys and key function here (the package ranks candidates by
 one packed int).  Edge and vertex orbits come from listing every
 automorphism with the package's unpinned matcher, which test_isomorphism
 checks against networkx (the package finds edge orbits from a few pinned
-searches).
+searches).  psi's smoothed count removes the edge, smooths its ends away
+with the package's surgery and counts the smaller graph's decompositions
+with the package's kernel (the package's psi_counts reads every edge's
+count from one pass over the host's Klein flows).
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 
-from snarkforge.coloring import EdgeColoring, enumerate_decompositions
+from snarkforge.coloring import EdgeColoring, count_decompositions, enumerate_decompositions
 from snarkforge.errors import DomainError
-from snarkforge.graph import Cycle, Graph, list_pentagons
+from snarkforge.graph import Cycle, EdgeLike, Graph, contract_removed_edge, list_pentagons
 from snarkforge.isomorphism import automorphisms
 from snarkforge.kempe import kempe_chain_two_colors
 
@@ -598,3 +601,10 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     """Automorphism orbits on vertices, same ordering conventions as
     edge_orbits_by_all_automorphisms."""
     return orbit_partition(g.n, automorphisms(g))
+
+
+def smoothed_decomposition_count(g: Graph, e: EdgeLike) -> int:
+    """Decompositions of g with e removed and its ends smoothed away,
+    counted on that smaller graph, with the surgery's and the count's
+    DomainErrors."""
+    return count_decompositions(contract_removed_edge(g, e)[0])

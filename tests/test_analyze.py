@@ -207,12 +207,20 @@ class TestTheorem53:
         assert verify_thm_5_3(P, 0, P, 0, 2).passed
 
     def test_mapped_and_factor_psis_from_one_pass_each(self, monkeypatch, P, J5):
-        # only the replaced edge's psi still smooths its one edge
+        # the replaced edge's psi is a pass at its one edge; nothing smooths
         calls = Counter()
         count_calls(monkeypatch, analyze, "psi_counts", calls)
+        count_calls(monkeypatch, coloring, "_psi_pass", calls)
         count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
         assert verify_thm_5_3(P, 0, J5, 0, 6).passed
-        assert calls == {"psi_counts": 2, "contract_removed_edge": 1}
+        assert calls == {"psi_counts": 2, "_psi_pass": 3}
+
+    def test_every_surviving_edge_above_sixty_edges(self, P):
+        # the combined graph has 72 edges; all 48 surviving flower(9) edges
+        # are checked, not one per edge orbit
+        report = verify_thm_5_3(P, 0, flower(9), 0, 6)
+        assert report.passed
+        assert report.quantities["edges_checked"] == 48
 
 
 class TestConditionK:

@@ -44,6 +44,7 @@ from snarkforge.graph import (
     is_quasi_cubic,
     list_pentagons,
     pendant_edges,
+    two_factor_fold,
     univalent_vertices,
     valence_profile,
 )
@@ -378,6 +379,11 @@ class TestFrontierOrder:
             assert cocyclic_factor_count(h, d1, d2) == cocyclic_factor_count(g, d1, d2)
         assert even_cover_sum(h, d1, d2) == even_cover_sum(g, d1, d2)
         assert hamiltonian_cycle_count(h) == hamiltonian_cycle_count(g)
+        # Tait: the all-even 2-factors, 2 per cycle, count the colorings;
+        # no edge is banned, so each closing delta is listed twice
+        ec = count_ec_by_factorization(g)
+        for x in (h, g):
+            assert two_factor_fold(x, lambda p, _l, _m: 0 if p else 2) == ec
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["(petersen)", "(flower 5)", "(flower 7)",

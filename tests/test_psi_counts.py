@@ -1,8 +1,9 @@
 """coloring.psi_counts, psi at many edges from one forward and one
 reverse pass over the host's Klein flows, against the single-edge
-smoothed route (smoothed_psi), which shares none of the pass's zero
-states, relabelled sums or last-vertex weights; and the search harness
-that now reads its psi records from one pass per recipe."""
+smoothed route (oracles.smoothed_decomposition_count), which shares none
+of the pass's zero states, relabelled sums or last-vertex weights; and
+the search harness that now reads its psi records from one pass per
+recipe."""
 
 import random
 from collections import Counter
@@ -11,10 +12,11 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from oracles import smoothed_decomposition_count
 from snarkforge import analyze, coloring, graph, ledger
-from snarkforge.coloring import psi_counts, psi_with_counts, smoothed_psi
+from snarkforge.coloring import count_decompositions, psi_counts, psi_with_counts
 from snarkforge.construct import flower, petersen
-from snarkforge.errors import CountContradictionError, DomainError
+from snarkforge.errors import BudgetExceededError, CountContradictionError, DomainError
 from snarkforge.graph import Graph, frontier_order, girth
 from snarkforge.graph6 import encode_graph6
 from snarkforge.isomorphism import edge_orbits
@@ -39,7 +41,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def smoothed_counts(g: Graph, edges) -> dict[int, int]:
-    return {i: smoothed_psi(g, i)[1] for i in edges}
+    return {i: smoothed_decomposition_count(g, i) for i in edges}
 
 
 HOSTS = {"P": petersen()}
@@ -109,12 +111,26 @@ def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
              (petersen(), 15)]
     for g, e in cases:
         with pytest.raises(DomainError) as single:
-            smoothed_psi(g, e)
+            smoothed_decomposition_count(g, e)
         with pytest.raises(DomainError) as batch:
             psi_counts(g, [e])
         assert str(batch.value) == str(single.value)
     rest = [i for i in range(BRIDGED.m) if BRIDGED.edges[i] != (6, 13)]
     assert psi_counts(BRIDGED, rest) == smoothed_counts(BRIDGED, rest)
+
+
+def test_budget_boundary_on_the_j3_chain():
+    # the states a count and a pass generate are pinned exactly, so a
+    # change to the DP steps cannot move where a budget truncates
+    chain = HOSTS["chain3"]
+    assert count_decompositions(chain, node_budget=6898) == 0  # a snark
+    with pytest.raises(BudgetExceededError, match="exceeded 6897 DP states"):
+        count_decompositions(chain, node_budget=6897)
+    reps = [orbit[0] for orbit in edge_orbits(chain)]
+    assert len(reps) == 39
+    assert coloring._psi_pass(chain, reps, node_budget=18365) == psi_counts(chain, reps)
+    with pytest.raises(BudgetExceededError, match="exceeded 18364 DP states"):
+        coloring._psi_pass(chain, reps, node_budget=18364)
 
 
 def records_one_edge_at_a_time(text: str) -> list:
