@@ -15,10 +15,11 @@ steps once forward and once in reverse over the host's Klein flows, with
 no smoothing.  The order is searched once per graph value, and a
 smoothed graph inherits its host's order (graph.contract_removed_edge);
 the frontier edges keep the slots of graph.frontier_layout, derived once
-per order.  A step reads one table, cached per shape of the step, from the
-colors key of the slots it closes to the XOR deltas key ^ add, one per
-packing add of colors onto the edges it opens, so graph.frontier_step
-moves each state with one lookup.
+per order.  A step reads one table, cached per step, from the colors key
+of the slots it closes to the XOR deltas key ^ add, one per packing add of
+colors onto the edges it opens, so graph.frontier_step moves each state
+with one lookup; the table shifts the colorings its vertex's shape
+allows, listed once per shape, onto its slots.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, CountContradictionError, DomainError
@@ -111,6 +112,27 @@ _Table = dict[int, tuple[int, ...]]
 
 
 @cache
+def _vertex_colorings(closes: int, pins: tuple[Optional[int], ...]) -> tuple[tuple, tuple]:
+    """(opens, moves) for a vertex closing ``closes`` edges and opening edges
+    pinned by ``pins`` (None or a color, 0 included): ``opens`` lists the
+    opening colors, the pin or else a nonzero color, in itertools.product
+    order, and ``moves`` pairs each closing-color tuple with the indexes in
+    ``opens`` it allows, in lexicographic order.  A vertex allows distinct
+    nonzero colors, or one 0 (psi_counts' zero edge) with the rest sharing
+    a nonzero color, so that the colors sum to zero."""
+    d = closes + len(pins)
+    allowed = set(permutations(COLORS, d))
+    allowed.update((c,) * k + (0,) + (c,) * (d - 1 - k) for k in range(d) for c in COLORS)
+    opens = tuple(product(*[COLORS if pin is None else (pin,) for pin in pins]))
+    where = {new: j for j, new in enumerate(opens)}
+    moves: dict[tuple[int, ...], list[int]] = {}
+    for colors in sorted(allowed):
+        if colors[closes:] in where:
+            moves.setdefault(colors[:closes], []).append(where[colors[closes:]])
+    return opens, tuple((known, tuple(js)) for known, js in moves.items())
+
+
+@cache
 def _step_table(
     closing: tuple[int, ...], opening: tuple[tuple[int, Optional[int]], ...]
 ) -> tuple[int, _Table]:
@@ -118,28 +140,20 @@ def _step_table(
     the ``opening`` ones, given as (slot, pin or None) pairs: ``mask``
     covers the closing slots' two color bits each, and table[key] holds
     key ^ add for every packing add of colors onto the opening slots that
-    honours the pins and fits the closing colors key = s & mask, which
-    frontier_step turns into s ^ key ^ add.  Without a 0 at the vertex, its
-    colors are distinct and nonzero; a 0, the reverse pass's zero edge in
-    psi_counts (closing, or opening as a pin 0), makes every other edge at
-    the vertex share one nonzero color, so that the three sum to zero.
-    Clashing keys are left out.  Built once per key, which the frontier
-    width and the colors bound, and shared, so callers only read it."""
+    the vertex allows after the closing colors key = s & mask, which
+    frontier_step turns into s ^ key ^ add.  It shifts the shape's
+    _vertex_colorings onto the slots; a delta starts from the key, as an
+    opening slot may be one the step closes.  Keys without a move are left
+    out.  Built once and shared, so callers only read it."""
     mask = sum(3 << 2 * x for x in closing)
-    choices = [COLORS if pin is None else (pin,) for _, pin in opening]
-    slots = [x for x, _ in opening]
-    packed = [(new, sum(c << 2 * x for c, x in zip(new, slots))) for new in product(*choices)]
+    opens, moves = _vertex_colorings(len(closing), tuple(pin for _, pin in opening))
+    slots = [2 * x for x, _ in opening]
+    adds = [sum([c << x for c, x in zip(new, slots)]) for new in opens]
+    shifts = [2 * x for x in closing]
     table: _Table = {}
-    for known in product(range(4), repeat=len(closing)):
-        adds = []
-        for new, add in packed:
-            here = known + new
-            zeros, nonzero = here.count(0), set(here) - {0}
-            if (not zeros and len(nonzero) == len(here)) or (zeros == 1 and len(nonzero) < 2):
-                adds.append(add)
-        if adds:
-            key = sum(c << 2 * x for c, x in zip(known, closing))
-            table[key] = tuple(map(key.__xor__, adds))
+    for known, js in moves:
+        key = sum([c << x for c, x in zip(known, shifts)])
+        table[key] = tuple([key ^ adds[j] for j in js])
     return mask, table
 
 

@@ -360,18 +360,18 @@ def list_pentagons(g: Graph) -> list[Cycle]:
 
 
 def _greedy_order(
-    g: Graph, start: int, by_age: bool, bound: float
+    g: Graph, powers: list[int], start: int, by_age: bool, bound: float
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """One greedy vertex order from ``start``: always place an unplaced
     vertex with the most placed neighbours, ties going to the oldest
     frontier edge (``by_age``) or else to the smaller label, and go on at
     the smallest unplaced vertex when a component runs out.  Returns (sum
-    of 3^|frontier| over the steps, order), or None once the sum reaches
-    ``bound``.  Each candidate's rank is one int whose base-n digits are 3
-    minus its placed neighbours, under ``by_age`` the step of its oldest
-    frontier edge, and its label, so the least rank mod n is the next
-    vertex."""
-    n = g.n
+    of 3^|frontier| = powers[|frontier|] over the steps, order), or None
+    once the sum reaches ``bound``.  Each candidate's rank is one int whose
+    base-n digits are 3 minus its placed neighbours, under ``by_age`` the
+    step of its oldest frontier edge, and its label, so the least rank mod
+    n is the next vertex."""
+    n, neighbors = g.n, g._neighbors
     placed = [False] * n
     seen = [0] * n  # placed neighbours of each unplaced vertex
     first = [0] * n  # n * the step at which its oldest frontier edge appeared
@@ -384,11 +384,12 @@ def _greedy_order(
         order.append(v)
         placed[v] = True
         cands.pop(v, None)
-        width += g.valence(v) - 2 * seen[v]
-        cost += 3**width
+        around = neighbors[v]
+        width += len(around) - 2 * seen[v]
+        cost += powers[width]
         if cost >= bound:
             return None
-        for w in g.neighbors(v):
+        for w in around:
             if not placed[w]:
                 if not seen[w] and by_age:
                     first[w] = step * n
@@ -413,10 +414,11 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
     # slows every later attribute read on the graph (CPython 3.11)
     order = getattr(g, "_frontier_order", None)
     if order is None:
+        powers = [3**k for k in range(g.m + 1)]  # a frontier holds at most m edges
         best = (float("inf"), ())
         for start in range(g.n):
             for by_age in (True, False):
-                best = _greedy_order(g, start, by_age, best[0]) or best
+                best = _greedy_order(g, powers, start, by_age, best[0]) or best
         order = best[1]
         object.__setattr__(g, "_frontier_order", order)
     return order
@@ -548,9 +550,9 @@ def two_factor_fold(
                     for a, b in picks[1]
                 ]
             if len(ins) == 1:
-                # the other closing fields are 0, so the shift isolates x's
+                # masked, so a state a wrong delta made cannot grow without bound
                 x = ins[0]
-                c = key >> span * x
+                c = key >> span * x & ones
                 mate, head = c >> k, 1 | ((c >> 1 & tails ^ 1) + gain) << 1
                 far = c & low | x << k
                 return [

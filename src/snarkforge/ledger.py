@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
@@ -85,12 +85,9 @@ LedgerEntry = PsiRecord | TruncationRecord
 
 
 def _entry_to_line(entry: LedgerEntry) -> str:
-    if isinstance(entry, PsiRecord):
-        payload = {"kind": "psi", **asdict(entry)}
-        payload["tags"] = list(entry.tags)
-    else:
-        payload = {"kind": "truncated", **asdict(entry)}
-    return json.dumps(payload, sort_keys=True)
+    # the fields are flat values, so dataclasses.asdict's deep copy buys nothing
+    kind = "psi" if isinstance(entry, PsiRecord) else "truncated"
+    return json.dumps({"kind": kind, **vars(entry)}, sort_keys=True)
 
 
 def _json_type_ok(value: object, hint: object) -> bool:

@@ -24,12 +24,15 @@ checks against networkx (the package finds edge orbits from a few pinned
 searches).  psi's smoothed count removes the edge, smooths its ends away
 with the package's surgery and counts the smaller graph's decompositions
 with the package's kernel (the package's psi_counts reads every edge's
-count from one pass over the host's Klein flows).
+count from one pass over the host's Klein flows).  A coloring step table
+comes from testing every product of closing and opening colors against
+the vertex rule (the package shifts the shape's valid colorings onto the
+step's slots).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
@@ -608,3 +611,28 @@ def smoothed_decomposition_count(g: Graph, e: EdgeLike) -> int:
     counted on that smaller graph, with the surgery's and the count's
     DomainErrors."""
     return count_decompositions(contract_removed_edge(g, e)[0])
+
+
+def step_table_by_products(
+    closing: tuple[int, ...], opening: tuple[tuple[int, Optional[int]], ...]
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """coloring._step_table's (mask, table), built by testing every product
+    of closing colors (0 to 3) and opening colors (the pin, or 1 to 3)
+    against the vertex rule: all colors distinct and nonzero, or exactly
+    one 0 with the rest sharing one nonzero color."""
+    mask = sum(3 << 2 * x for x in closing)
+    choices = [(1, 2, 3) if pin is None else (pin,) for _, pin in opening]
+    slots = [x for x, _ in opening]
+    packed = [(new, sum(c << 2 * x for c, x in zip(new, slots))) for new in product(*choices)]
+    table: dict[int, tuple[int, ...]] = {}
+    for known in product(range(4), repeat=len(closing)):
+        adds = []
+        for new, add in packed:
+            here = known + new
+            zeros, nonzero = here.count(0), set(here) - {0}
+            if (not zeros and len(nonzero) == len(here)) or (zeros == 1 and len(nonzero) < 2):
+                adds.append(add)
+        if adds:
+            key = sum(c << 2 * x for c, x in zip(known, closing))
+            table[key] = tuple(map(key.__xor__, adds))
+    return mask, table

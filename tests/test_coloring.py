@@ -1,15 +1,19 @@
+from itertools import product
+
 import pytest
 
 from oracles import (
     count_ec_by_factorization,
     count_ed_by_factorization,
     naive_count_colorings,
+    step_table_by_products,
 )
 from snarkforge.errors import BudgetExceededError, DomainError
 from snarkforge.graph import Graph, contract_removed_edge, delete_edges, list_pentagons
 from snarkforge.klein import ZERO
 from snarkforge.coloring import (
     EdgeColoring,
+    _step_table,
     count_colorings,
     count_decompositions,
     enumerate_colorings,
@@ -59,6 +63,34 @@ class TestCountColorings:
     def test_node_budget(self, J5):
         with pytest.raises(BudgetExceededError):
             count_colorings(J5, node_budget=5)
+
+
+def step_shapes():
+    """(closing, opening) for every step of 0-3 closing slots and up to 3
+    edges at the vertex, every opening pin None or 0-3, and the opening
+    slots either new or reusing the closed ones, the last freed first, as
+    graph.frontier_layout assigns them."""
+    for closes in range(4):
+        closing = (0, 3, 1)[:closes]
+        for opens in range(4 - closes):
+            for pins in product((None, 0, 1, 2, 3), repeat=opens):
+                for reuse in (False, True):
+                    free = list(closing) if reuse else []
+                    slots = [free.pop() if free else 6 + k for k in range(opens)]
+                    yield closing, tuple(zip(slots, pins))
+
+
+class TestStepTable:
+    def test_equals_the_product_oracle(self):
+        # mask, keys and each key's deltas, in order: the depth-first walk
+        # of enumerate_colorings yields its colorings in delta order
+        shapes = list(step_shapes())
+        assert ((0,), ((0, None), (7, None))) in shapes  # a reused slot
+        for closing, opening in shapes:
+            mask, table = _step_table(closing, opening)
+            want_mask, want = step_table_by_products(closing, opening)
+            assert mask == want_mask
+            assert list(table.items()) == list(want.items()), (closing, opening)
 
 
 class TestEnumerateColorings:

@@ -372,6 +372,11 @@ class TestFrontierOrder:
         h = with_order(g, order)
         assert frontier_order(h) == tuple(order)
         assert _count_frontier(h) == _count_frontier(g) == count_ec_by_factorization(g)
+        # Tait: the all-even 2-factors, 2 per cycle, count the colorings;
+        # no edge is banned, so each closing delta is listed twice
+        ec = count_ec_by_factorization(g)
+        for x in (h, g):
+            assert two_factor_fold(x, lambda p, _l, _m: 0 if p else 2) == ec
         if g.is_connected():
             assert count_decompositions(h) == count_decompositions(g)
             # the order also moves the pivot of a class count
@@ -379,11 +384,6 @@ class TestFrontierOrder:
             assert cocyclic_factor_count(h, d1, d2) == cocyclic_factor_count(g, d1, d2)
         assert even_cover_sum(h, d1, d2) == even_cover_sum(g, d1, d2)
         assert hamiltonian_cycle_count(h) == hamiltonian_cycle_count(g)
-        # Tait: the all-even 2-factors, 2 per cycle, count the colorings;
-        # no edge is banned, so each closing delta is listed twice
-        ec = count_ec_by_factorization(g)
-        for x in (h, g):
-            assert two_factor_fold(x, lambda p, _l, _m: 0 if p else 2) == ec
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["(petersen)", "(flower 5)", "(flower 7)",

@@ -167,6 +167,22 @@ class TestLedgerStore:
         led.record(make_record(P))
         assert led.query(1)[0].recipe == "(petersen)"
 
+    def test_lines_match_the_asdict_form(self, tmp_path):
+        # a line reads the record's fields shallowly; dataclasses.asdict,
+        # which deep-copies them, gave the same bytes
+        psi = evaluate_recipe_records("(petersen)")[0]
+        truncated = evaluate_recipe_records("(flower 15)", budget=SearchBudget(max_edges=80))[0]
+        assert psi.tags and isinstance(truncated, TruncationRecord)
+        want = [
+            json.dumps({"kind": "psi", **asdict(psi), "tags": list(psi.tags)}, sort_keys=True),
+            json.dumps({"kind": "truncated", **asdict(truncated)}, sort_keys=True),
+        ]
+        path = tmp_path / "led.jsonl"
+        led = Ledger(str(path))
+        for rec in (psi, truncated):
+            led.record(rec)
+        assert path.read_text().splitlines() == want
+
     def test_csv_export(self, tmp_path, P):
         led = Ledger(str(tmp_path / "led.jsonl"))
         led.record(make_record(P))
