@@ -52,12 +52,7 @@ from .kempe import (
     kempe_swap,
     orthogonal_pairs,
 )
-from .covers import (
-    EvenCycleCover,
-    even_cover_sum,
-    even_cycle_covers,
-    kaszonyi_sum_check,
-)
+from .covers import even_cover_sum, kaszonyi_sum_check
 from .construct import (
     JoinResult,
     dot_product,

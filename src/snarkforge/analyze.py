@@ -1,6 +1,6 @@
 """Snark certification and one machine check per counting identity, plus
-the predicates behind the open-problem searches (Condition K, orthogonal
-pair census).
+Condition K, the predicate behind the open-problem searches (the
+orthogonal pair census is kempe.orthogonal_pairs).
 
 Each verifier returns a TheoremReport: the computed quantities, the exact
 integer checks performed, and a pass/fail verdict.  All comparisons are

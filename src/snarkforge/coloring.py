@@ -360,15 +360,14 @@ def psi_with_counts(
     return psi_from_count(ned), ned, 6 * ned
 
 
-def psi(g: Graph, e: EdgeLike, node_budget: Optional[int] = None) -> int:
+def psi(g: Graph, e: EdgeLike) -> int:
     """The psi number of (g, e): one third of the decomposition count of
     the graph obtained by removing e and smoothing its endpoints away.
 
     The host must be a snark; the caller asserts it (see
-    analyze.certify_snark).  Counted by psi_counts' pass at e alone, which
-    ``node_budget`` caps."""
+    analyze.certify_snark).  Counted by psi_counts' pass at e alone."""
     i = next(_smoothable(g, [e]))
-    return psi_from_count(_psi_pass(g, [i], node_budget)[i])
+    return psi_from_count(_psi_pass(g, [i])[i])
 
 
 # -- psi at many edges: one forward and one reverse pass ------------------

@@ -9,94 +9,16 @@ The cover side of the identity, the sum of 2^(number of cycles) over the
 covers, comes from graph.py's frontier DP over 2-factors
 (``even_cover_sum``), which shares no state or step with the coloring
 kernel; the two DPs share only the vertex order, which sets what each
-costs, never what it counts.  ``even_cycle_covers``
-lists the covers themselves by path search; it is kept for listing them
-and serves as the DP's reference on small graphs.
+costs, never what it counts.  The covers are never listed: the identity
+needs only the sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
-from .graph import Cycle, EdgeLike, Graph, is_cubic, resolve_edge, two_factor_fold
+from .graph import EdgeLike, Graph, is_cubic, resolve_edge, two_factor_fold
 from .coloring import count_decompositions
 from .kempe import cocyclic_factor_count
-
-
-@dataclass(frozen=True)
-class EvenCycleCover:
-    """A spanning union of disjoint even cycles."""
-
-    cycles: tuple[Cycle, ...]
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for c in self.cycles:
-            out.update(c.edge_pairs())
-        return out
-
-
-def even_cycle_covers(h: Graph, d1: EdgeLike, d2: EdgeLike) -> list[EvenCycleCover]:
-    """All spanning even-cycle covers of h that avoid both marked edges.
-
-    Exact-cover search over vertices: grow a cycle from the least
-    uncovered vertex using only allowed edges and uncovered vertices,
-    check parity at closure, then recurse on what remains.  Each cycle is
-    rooted at its least vertex with a fixed orientation, so every cover
-    is produced exactly once.
-    """
-    if not is_cubic(h):
-        raise DomainError("cover enumeration is defined for cubic hosts")
-    banned = {resolve_edge(h, d1).index, resolve_edge(h, d2).index}
-    allowed = [
-        [j for j in h.incident_edges(v) if j not in banned] for v in range(h.n)
-    ]
-    covered = [False] * h.n
-    covers: list[EvenCycleCover] = []
-    chosen: list[Cycle] = []
-
-    def other_end(edge_idx: int, v: int) -> int:
-        a, b = h.edges[edge_idx]
-        return b if a == v else a
-
-    def grow(root: int, v: int, path: list[int]) -> None:
-        for j in allowed[v]:
-            w = other_end(j, v)
-            if w == root:
-                if len(path) >= 3 and len(path) % 2 == 0 and path[1] < path[-1]:
-                    close(path)
-                continue
-            if covered[w] or w < root:
-                continue
-            covered[w] = True
-            path.append(w)
-            grow(root, w, path)
-            path.pop()
-            covered[w] = False
-
-    def close(path: list[int]) -> None:
-        # Every path vertex is already marked covered by grow/descend, so
-        # the cycle can be committed without touching that state.
-        chosen.append(Cycle.from_vertices(path))
-        descend()
-        chosen.pop()
-
-    def descend() -> None:
-        root = next((v for v in range(h.n) if not covered[v]), None)
-        if root is None:
-            covers.append(EvenCycleCover(tuple(chosen)))
-            return
-        covered[root] = True
-        grow(root, root, [root])
-        covered[root] = False
-
-    descend()
-    return covers
 
 
 def even_cover_sum(h: Graph, d1: EdgeLike, d2: EdgeLike) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import Graph6ParseError
+from .errors import DomainError, Graph6ParseError
 from .graph import Graph
 from .klein import COLOR_NAMES
 
@@ -101,16 +101,22 @@ def decode_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def to_dot(g: Graph, coloring: Optional[dict[int, int]] = None, name: str = "G") -> str:
-    """Render as DOT.  ``coloring`` maps edge index -> color element and
-    becomes the DOT ``color`` attribute (a/b/c drawn red/green/blue)."""
+def to_dot(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:
+    """Render as DOT graph ``G``.  ``coloring`` maps edge index -> color
+    element and becomes the DOT ``color`` attribute (a/b/c drawn
+    red/green/blue); a key that is not an edge index of g or a value that
+    is not a color raises DomainError."""
     palette = {1: "red", 2: "green", 3: "blue"}
-    lines = [f"graph {name} {{"]
+    coloring = coloring or {}
+    bad = {i: c for i, c in coloring.items() if i not in range(g.m) or c not in palette}
+    if bad:
+        raise DomainError(f"not edge colors of this graph: {bad}")
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for i, (u, v) in enumerate(g.edges):
         attr = ""
-        if coloring is not None and i in coloring:
+        if i in coloring:
             col = coloring[i]
             attr = f' [color={palette[col]} label={COLOR_NAMES[col]}]'
         lines.append(f"  {u} -- {v}{attr};")

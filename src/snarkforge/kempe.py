@@ -15,13 +15,13 @@ its xy-chains.  Conversely, an all-even 2-factor F gives a coloring whose
 and color the complement, a perfect matching, 3.  So d1 and d2 lie on a
 common two-colored cycle in some coloring iff some all-even 2-factor has
 both on one cycle, which are_orthogonal counts with graph.two_factor_fold
-(``cocyclic_factor_count``).  The census orthogonal_pairs still walks
-colorings: a color permutation pi maps every xy-cycle onto a
-pi(x)pi(y)-cycle with the same edges, so one pinned coloring per
-decomposition (enumerate_decompositions) stands for all six.  The census
-and the chain API walk chains with one routine (``_chain_walk``), which
-takes at each vertex the one edge of the other color of the pair.  The
-color-pair table is nine pinned counts of the coloring kernel.
+(``cocyclic_factor_count``).  The census orthogonal_pairs walks colorings,
+which settles every pair in one pass: a color permutation pi maps every
+xy-cycle onto a pi(x)pi(y)-cycle with the same edges, so one pinned
+coloring per decomposition (enumerate_decompositions) stands for all six.
+The census and the chain API walk chains with one routine (``_chain_walk``),
+which takes at each vertex the one edge of the other color of the pair.
+The color-pair table is nine pinned counts of the coloring kernel.
 """
 
 from __future__ import annotations
@@ -204,7 +204,11 @@ def orthogonal_pairs(h: Graph) -> list[tuple[int, int]]:
     pairs splits its edges into cycles, walked one at a time because the
     two-colored subgraph of a cubic host is 2-regular.  Every pair seen
     together on one cycle is struck out, and the survivors are orthogonal.
-    Adjacent pairs are always co-cyclic, so they never survive.
+    Adjacent pairs are always co-cyclic, so they never survive.  One
+    cocyclic_factor_count per non-adjacent pair gives the same pairs, but
+    on a 2-vCPU Xeon (best of 3 process_time) it took 5.5-7 ms against
+    this walk's 0.3 ms at W8, and 67-72 ms against 0.5-0.6 ms at both e20
+    reductions of the Petersen dot products.
     """
     if not is_cubic(h):
         raise DomainError("orthogonality is defined for cubic hosts")

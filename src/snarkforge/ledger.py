@@ -8,7 +8,7 @@ One JSON record per line.  Fields are fixed per record kind:
 
 The in-memory index is rebuilt when a ledger is opened; a line that fails
 to parse or violates a record invariant raises LedgerIntegrityError with
-its 1-based line number.  Writes always go through append(), keeping the
+its 1-based line number.  Writes always go through record(), keeping the
 file a faithful event log (single writer, any number of readers).
 """
 
@@ -315,32 +315,30 @@ def flower_family(max_n: int) -> Iterator[str]:
         n += 2
 
 
-def pentagon_join_family(bases: Iterable[str] = ("(petersen)", "(flower 5)")) -> Iterator[str]:
-    bases = list(bases)
+def pentagon_join_family() -> Iterator[str]:
+    """Pentagon joins of each ordered pair of Petersen and J5, at pentagon 0."""
+    bases = ("(petersen)", "(flower 5)")
     for left in bases:
         for right in bases:
             yield f"(pentagonjoin {left} p=0 {right} p=0)"
 
 
-def superpose_chain_family(depth: int, u: int = 0, v: int = 6) -> Iterator[str]:
+def superpose_chain_family(depth: int) -> Iterator[str]:
     """Repeatedly splice the previous graph in place of a Petersen edge.
 
-    The default u, v work for the first step (two non-adjacent Petersen
-    vertices); later steps splice at two of the freshly added path
+    The first step splices at Petersen vertices 0 and 6, which are not
+    adjacent; later steps splice at two of the freshly added path
     vertices, which are always non-adjacent.
     """
     inner = "(petersen)"
     yield inner
     for step in range(depth):
         if step == 0:
-            inner = f"(superpose52 (petersen) e=0 {inner} u={u} v={v})"
+            u, v = 0, 6
         else:
-            g = evaluate_text(inner)
             # the last six vertices are the fresh path vertices; pick the
-            # the middle of each path (T(0) and W(0)), never adjacent
-            t0_vertex = g.n - 5
-            w0_vertex = g.n - 2
-            inner = (
-                f"(superpose52 (petersen) e=0 {inner} u={t0_vertex} v={w0_vertex})"
-            )
+            # middle of each path (T(0) and W(0)), never adjacent
+            n = evaluate_text(inner).n
+            u, v = n - 5, n - 2
+        inner = f"(superpose52 (petersen) e=0 {inner} u={u} v={v})"
         yield inner

@@ -3,6 +3,8 @@
 Nothing here shares code with the package internals: coloring counts come
 from one-factorization counting (cubic) or naive index-order backtracking
 (small quasi-cubic), two-factors come from perfect-matching complements,
+even-cycle covers are listed by path search (the package sums 2^cycles
+over them with its frontier DP over 2-factors and never lists them),
 cut checks enumerate every subset, every matching with one
 union-find pass each, or every matching one edge smaller with one
 bridge-finding DFS each (the package enumerates two edges fewer and finds
@@ -32,6 +34,7 @@ step's slots).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
@@ -39,7 +42,15 @@ import networkx as nx
 
 from snarkforge.coloring import EdgeColoring, count_decompositions, enumerate_decompositions
 from snarkforge.errors import DomainError
-from snarkforge.graph import Cycle, EdgeLike, Graph, contract_removed_edge, list_pentagons
+from snarkforge.graph import (
+    Cycle,
+    EdgeLike,
+    Graph,
+    contract_removed_edge,
+    is_cubic,
+    list_pentagons,
+    resolve_edge,
+)
 from snarkforge.isomorphism import automorphisms
 from snarkforge.kempe import kempe_chain_two_colors
 
@@ -174,6 +185,81 @@ def even_cover_sum_by_matchings(g: Graph, d1: int, d2: int) -> int:
         if all(len(c) % 2 == 0 for c in cycles):
             total += 2 ** len(cycles)
     return total
+
+
+@dataclass(frozen=True)
+class EvenCycleCover:
+    """A spanning union of disjoint even cycles."""
+
+    cycles: tuple[Cycle, ...]
+
+    @property
+    def cycle_count(self) -> int:
+        return len(self.cycles)
+
+    def edge_pairs(self) -> set[tuple[int, int]]:
+        out: set[tuple[int, int]] = set()
+        for c in self.cycles:
+            out.update(c.edge_pairs())
+        return out
+
+
+def even_cycle_covers(h: Graph, d1: EdgeLike, d2: EdgeLike) -> list[EvenCycleCover]:
+    """All spanning even-cycle covers of h that avoid both marked edges.
+
+    Exact-cover search over vertices: grow a cycle from the least
+    uncovered vertex using only allowed edges and uncovered vertices,
+    check parity at closure, then recurse on what remains.  Each cycle is
+    rooted at its least vertex with a fixed orientation, so every cover
+    is produced exactly once.
+    """
+    if not is_cubic(h):
+        raise DomainError("cover enumeration is defined for cubic hosts")
+    banned = {resolve_edge(h, d1).index, resolve_edge(h, d2).index}
+    allowed = [
+        [j for j in h.incident_edges(v) if j not in banned] for v in range(h.n)
+    ]
+    covered = [False] * h.n
+    covers: list[EvenCycleCover] = []
+    chosen: list[Cycle] = []
+
+    def other_end(edge_idx: int, v: int) -> int:
+        a, b = h.edges[edge_idx]
+        return b if a == v else a
+
+    def grow(root: int, v: int, path: list[int]) -> None:
+        for j in allowed[v]:
+            w = other_end(j, v)
+            if w == root:
+                if len(path) >= 3 and len(path) % 2 == 0 and path[1] < path[-1]:
+                    close(path)
+                continue
+            if covered[w] or w < root:
+                continue
+            covered[w] = True
+            path.append(w)
+            grow(root, w, path)
+            path.pop()
+            covered[w] = False
+
+    def close(path: list[int]) -> None:
+        # Every path vertex is already marked covered by grow/descend, so
+        # the cycle can be committed without touching that state.
+        chosen.append(Cycle.from_vertices(path))
+        descend()
+        chosen.pop()
+
+    def descend() -> None:
+        root = next((v for v in range(h.n) if not covered[v]), None)
+        if root is None:
+            covers.append(EvenCycleCover(tuple(chosen)))
+            return
+        covered[root] = True
+        grow(root, root, [root])
+        covered[root] = False
+
+    descend()
+    return covers
 
 
 def cyclic_connectivity_violated_exhaustive(g: Graph, max_cut: int) -> bool:

@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from oracles import even_cycle_covers
 from snarkforge.graph import (
     contract_removed_edge,
     delete_edges,
@@ -27,7 +28,7 @@ from snarkforge.coloring import (
     psi_with_counts,
 )
 from snarkforge.construct import pentagon_join, petersen, superpose_52, wheel_w8
-from snarkforge.covers import even_cycle_covers, kaszonyi_sum_check
+from snarkforge.covers import even_cover_sum, kaszonyi_sum_check
 from snarkforge.isomorphism import edge_orbits, is_isomorphic
 from snarkforge.kempe import (
     kempe_chain_two_colors,
@@ -112,6 +113,7 @@ def test_criterion_4_cover_sum_suite():
         assert len(covers) == 1
         assert covers[0].cycle_count == 1
         assert covers[0].edge_pairs() == {r.pair for r in rim}
+        assert even_cover_sum(W, spokes[0], spokes[2]) == 2
         assert kaszonyi_sum_check(W, spokes[0], spokes[2]) == (3, 3, True)
 
         instances = []

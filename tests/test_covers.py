@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import even_cover_sum_by_matchings
+from oracles import even_cover_sum_by_matchings, even_cycle_covers
 from snarkforge.coloring import _count_frontier, count_decompositions
 from snarkforge.errors import DomainError
 from snarkforge.graph import Graph, contract_removed_edge
-from snarkforge.covers import even_cover_sum, even_cycle_covers, kaszonyi_sum_check
+from snarkforge.covers import even_cover_sum, kaszonyi_sum_check
 from snarkforge.construct import dot_product, flower, petersen, superpose_52
 from snarkforge.isomorphism import edge_orbits
 from strategies import cubic_graphs

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from oracles import to_nx
-from snarkforge.errors import Graph6ParseError
+from snarkforge.errors import DomainError, Graph6ParseError
 from snarkforge.graph import Graph
 from snarkforge.graph6 import decode_graph6, encode_graph6, graph6_order, to_dot
 from snarkforge.isomorphism import is_isomorphic
@@ -99,3 +99,9 @@ def test_to_dot(W_parts):
     assert "0 -- 1;" in text
     colored = to_dot(W, coloring={spokes[0].index: 1})
     assert "color=red" in colored and "label=a" in colored
+
+
+@pytest.mark.parametrize("coloring", [{0: 0}, {0: 4}, {99: 1}, {-1: 1}])
+def test_to_dot_rejects_what_is_not_an_edge_coloring(W, coloring):
+    with pytest.raises(DomainError):
+        to_dot(W, coloring=coloring)
