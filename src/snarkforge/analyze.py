@@ -65,18 +65,27 @@ class SnarkCertificate:
         )
 
 
-def certify_snark(g: Graph, level: int = 4) -> SnarkCertificate:
-    """Evaluate the snark clauses: girth at least 5, cyclic edge
-    connectivity at least ``level``, and no edge-3-coloring."""
+def _snark_clauses(g: Graph, level: int = 4) -> tuple[Optional[int], bool, int, bool]:
+    """SnarkCertificate's fields but the coloring count, the one place the
+    girth and connectivity clauses are evaluated: girth at least 5 and
+    cyclic edge connectivity at least ``level``, on a connected cubic
+    graph (DomainError otherwise)."""
     if not is_cubic(g) or not g.is_connected():
         raise DomainError("certification expects a connected cubic graph")
     gv = girth(g)
-    girth_ok = gv is not None and gv >= 5
     try:
         conn_ok = cyclically_edge_connected_at_least(g, level)
     except CyclicConnectivityUndefinedError:
         conn_ok = False
-    return SnarkCertificate(gv, girth_ok, level, conn_ok, count_colorings(g))
+    return gv, gv is not None and gv >= 5, level, conn_ok
+
+
+def certify_snark(g: Graph, level: int = 4) -> SnarkCertificate:
+    """Evaluate the snark clauses: girth at least 5, cyclic edge
+    connectivity at least ``level`` (both from _snark_clauses), and no
+    edge-3-coloring, counted by count_colorings.  A search takes the
+    count from its psi pass instead (ledger.evaluate_recipe_records)."""
+    return SnarkCertificate(*_snark_clauses(g, level), count_colorings(g))
 
 
 def is_snark(g: Graph) -> bool:

@@ -12,11 +12,12 @@ keeping for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
 depth-first.  psi at many edges of one host (psi_counts) folds the same
 steps once forward and once in reverse over the host's Klein flows, with
-no smoothing.  The order is searched once per graph value, and a
-smoothed graph inherits its host's order (graph.contract_removed_edge);
-the frontier edges keep the slots of graph.frontier_layout, derived once
-per order.  A step reads one table, cached per step, from the colors key
-of the slots it closes to the XOR deltas key ^ add, one per packing add of
+no smoothing, and the reverse fold also counts the host's colorings.
+The order is searched once per graph value, and a smoothed graph
+inherits its host's order (graph.contract_removed_edge); the frontier
+edges keep the slots of graph.frontier_layout, derived once per order.
+A step reads one table, cached per step, from the colors key of the
+slots it closes to the XOR deltas key ^ add, one per packing add of
 colors onto the edges it opens, so graph.frontier_step moves each state
 with one lookup; the table shifts the colorings its vertex's shape
 allows, listed once per shape, onto its slots.
@@ -367,7 +368,7 @@ def psi(g: Graph, e: EdgeLike) -> int:
     The host must be a snark; the caller asserts it (see
     analyze.certify_snark).  Counted by psi_counts' pass at e alone."""
     i = next(_smoothable(g, [e]))
-    return psi_from_count(_psi_pass(g, [i])[i])
+    return psi_from_count(_psi_pass(g, [i])[0][i])
 
 
 # -- psi at many edges: one forward and one reverse pass ------------------
@@ -399,10 +400,15 @@ def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
         ned(G_e) = 1/2 * sum_t F(t) * sum_rho T_e(rho t),    or T_e(0) / 2 when k = 0.
 
     Each halving is checked exact (CountContradictionError otherwise).
-    Sekine, Imai and Tani (ISAAC 1995) read a transfer-matrix count the
-    same way from both ends.  ledger.evaluate_recipe_records runs the
-    pass under its node budget."""
-    return _psi_pass(g, list(_smoothable(g, edges)))
+    The plain reverse states, which the zeros open from, run on to
+    vertex 0, where they hold twice the host's decomposition count: the
+    pass's second answer, 6 times that, is the host's edge-3-coloring
+    count, what count_colorings folds forward.  Sekine, Imai and Tani
+    (ISAAC 1995) read a transfer-matrix count the same way from both
+    ends.  ledger.evaluate_recipe_records runs the pass under its node
+    budget and certifies the host with its coloring count."""
+    indexes = list(_smoothable(g, edges))
+    return _psi_pass(g, indexes)[0] if indexes else {}
 
 
 def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
@@ -431,11 +437,13 @@ def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
 
 def _psi_pass(
     g: Graph, indexes: list[int], node_budget: Optional[int] = None
-) -> dict[int, int]:
+) -> tuple[dict[int, int], int]:
     """psi_counts' pass at edges whose preconditions _smoothable has
-    checked; ``node_budget`` caps the states both passes generate."""
-    if not indexes:
-        return {}
+    checked, and the host's edge-3-coloring count: the plain reverse fold
+    runs on to vertex 0, where it holds twice the host's decomposition
+    count (the pinned last vertex weighs 2), and the host has 6 colorings
+    per decomposition.  ``node_budget`` caps the states both passes
+    generate."""
     order = frontier_order(g)
     pos = {v: k for k, v in enumerate(order)}
     layout, width = frontier_layout(g)
@@ -447,10 +455,8 @@ def _psi_pass(
         closes.append([(i, slot_of[i]) for i in g.incident_edges(v) if i in slot_of])
         slot_of.update(opening)
     mask = sum(1 << 2 * x for x in range(width))
-    # e = (order[low], order[high]) opens forward at low, in reverse at
-    # high; the reverse pass opens its last zero at step last_open
+    # e = (order[low], order[high]) opens forward at low, in reverse at high
     low = {i: min(pos[x] for x in g.edges[i]) for i in indexes}
-    last_open = min(max(pos[x] for x in g.edges[i]) for i in indexes)
     keep = {k - 1 for k in low.values() if k}
     generated = 0
 
@@ -469,7 +475,7 @@ def _psi_pass(
         i: {sum(1 << 2 * x for j, x in last if j != i): 1} for i, _ in last if i in low
     }
     counts: dict[int, int] = {}
-    for k in range(len(order) - 2, min(low.values()) - 1, -1):
+    for k in range(len(order) - 2, -1, -1):
         # in reverse, step k closes what the forward step opened, and back
         opened, new = layout[k][1], closes[k]
         closing = tuple(x for _, x in opened)
@@ -480,11 +486,7 @@ def _psi_pass(
                 t_e = frontier_step(zeros.pop(i), step_mask, table)
                 generated = _spend(generated, t_e, node_budget)
                 total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
-                if total % 2:
-                    raise CountContradictionError(
-                        f"the flow count at edge {i} is odd ({total}), not twice a count"
-                    )
-                counts[i] = total // 2
+                counts[i] = _halve(total, f"the flow count at edge {i}")
         for i in zeros:
             zeros[i] = frontier_step(zeros[i], step_mask, table)
             generated = _spend(generated, zeros[i], node_budget)
@@ -494,10 +496,17 @@ def _psi_pass(
                 pinned = tuple((x, 0 if j == i else None) for j, x in new)
                 zeros[i] = frontier_step(plain, *_step_table(closing, pinned))
                 generated = _spend(generated, zeros[i], node_budget)
-        if k > last_open:
-            plain = frontier_step(plain, step_mask, table)
-            generated = _spend(generated, plain, node_budget)
-    return {i: counts[i] for i in indexes}
+        plain = frontier_step(plain, step_mask, table)
+        generated = _spend(generated, plain, node_budget)
+    host = _halve(plain.get(0, 0), "the host's weighted decomposition count")
+    return {i: counts[i] for i in indexes}, 6 * host
+
+
+def _halve(total: int, what: str) -> int:
+    """total / 2, raising CountContradictionError when it is odd."""
+    if total % 2:
+        raise CountContradictionError(f"{what} is odd ({total}), not twice a count")
+    return total // 2
 
 
 def _relabelled_sum(a: dict[int, int], b: dict[int, int], mask: int) -> int:

@@ -4,11 +4,13 @@ Backtracking over vertex maps, anchored on neighbors: vertices are mapped
 in BFS order, and every vertex except a component root takes its image
 from the unused neighbors of its BFS parent's image, so the branching at
 each step is at most the valence.  Candidates are filtered by a per-vertex
-invariant (valence plus the sorted multiset of BFS distances to all
-vertices), and a candidate is kept only when its already-mapped neighbors
-are exactly the images of the vertex's already-mapped neighbors.  Only
-component roots scan every vertex of the target.  A search may pin
-vertices to given images; its BFS order then starts at the pins.
+invariant (valence plus how many vertices lie within each distance, what
+the sorted BFS distances to all vertices say, from bitmask balls grown
+one step per round for all vertices at once), and a candidate is kept
+only when its already-mapped neighbors are exactly the images of the
+vertex's already-mapped neighbors.  Only component roots scan every
+vertex of the target.  A search may pin vertices to given images; its
+BFS order then starts at the pins.
 
 Edge orbits come from a few pinned searches (orbit pruning, as in McKay
 and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
@@ -27,27 +29,34 @@ from .graph import Graph
 
 
 def _invariants(g: Graph) -> list[tuple]:
-    """Per vertex: its valence and its sorted BFS distances to all vertices."""
-    out = []
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        for u in queue:  # the loop reaches the vertices appended on the way
-            for w in g.neighbors(u):
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        out.append((g.valence(root), tuple(sorted(dist))))
-    return out
+    """Per vertex: its valence and how many vertices lie within distance
+    0, 1, 2, ... of it, up to the largest distance in g, which says what
+    its sorted BFS distances to all vertices say, in g and between graphs
+    of one order.  Every vertex's ball is a bitmask, and each round grows
+    all of them by one step."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    balls = [1 << v for v in range(g.n)]
+    sizes = [[1] for _ in range(g.n)]
+    while True:
+        grown = []
+        for nbrs, ball in zip(adj, balls):
+            for w in nbrs:
+                ball |= balls[w]
+            grown.append(ball)
+        if grown == balls:
+            return [(len(nbrs), tuple(row)) for nbrs, row in zip(adj, sizes)]
+        balls = grown
+        for row, ball in zip(sizes, balls):
+            row.append(ball.bit_count())
 
 
 def _refine(g: Graph, colors: list) -> list[int]:
     """Split the color classes by their members' multisets of neighbor
     colors until none splits; automorphisms keeping ``colors`` keep these."""
+    adj = [g.neighbors(v) for v in range(g.n)]
     out, count = colors, 0
     while True:
-        signs = [(out[v], tuple(sorted(out[w] for w in g.neighbors(v)))) for v in range(g.n)]
+        signs = [(c, tuple(sorted([out[w] for w in nbrs]))) for c, nbrs in zip(out, adj)]
         ranks = {s: k for k, s in enumerate(sorted(set(signs)))}
         out = [ranks[s] for s in signs]
         if len(ranks) == count:
@@ -159,16 +168,19 @@ def _pinned_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
     colors = _refine(g, _invariants(g))
     root = list(range(g.m))  # union-find over edges, rooted at least members
     reps: list[int] = []
+    # the representatives' ends, by their ends' colors
+    ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, (a, b) in enumerate(g.edges):
         if _find(root, j) < j:
             continue  # already joined with an earlier representative
         # the first map found by the pinned searches, each representative's
         # ends onto (a, b) or (b, a) where their colors agree
-        perm = next((m for p, q in (g.edges[r] for r in reps) for x, y in ((a, b), (b, a))
-                     if colors[p] == colors[x] and colors[q] == colors[y]
+        perm = next((m for x, y in ((a, b), (b, a))
+                     for p, q in ends.get((colors[x], colors[y]), ())
                      for m in _match(g, g, {p: x, q: y}, colors)), None)
         if perm is None:
             reps.append(j)
+            ends.setdefault((colors[a], colors[b]), []).append((a, b))
             continue
         for i, (u, v) in enumerate(g.edges):
             ri, rj = _find(root, i), _find(root, g.edge_index(perm[u], perm[v]))

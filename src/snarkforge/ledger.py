@@ -30,7 +30,7 @@ from .graph import Graph, list_pentagons
 from .graph6 import decode_graph6, encode_graph6, graph6_order
 from .coloring import _psi_pass, _smoothable, psi_from_count, psi_with_counts
 from .isomorphism import edge_orbits
-from .analyze import certify_snark
+from .analyze import SnarkCertificate, _snark_clauses
 from .recipe import evaluate_text, format_recipe, parse_recipe
 
 
@@ -207,6 +207,10 @@ class Ledger:
 
 @dataclass
 class SearchBudget:
+    """Per-recipe caps of a search: the host's edge count, and the DP
+    states of its one psi pass, which also counts the colorings its
+    certificate needs."""
+
     max_edges: int = 80
     max_nodes: int = 10**8
 
@@ -215,13 +219,16 @@ def evaluate_recipe_records(
     recipe_text: str, budget: Optional[SearchBudget] = None
 ) -> list[LedgerEntry]:
     """Build one recipe, certify it, and compute psi for one edge per
-    automorphism orbit, all from one coloring._psi_pass.  A recipe that
-    does not parse or build, an oversized instance, a graph that
-    certification or psi rejects as outside its domain, and an over-budget
-    pass each yield a single truncation marker instead, after the psi
-    records of the representatives before the one psi rejects, so one bad
-    recipe never ends a search.  ``max_nodes`` caps the states of the
-    whole pass, so going over it truncates the whole recipe."""
+    automorphism orbit, all from one coloring._psi_pass: the certificate
+    takes its girth and connectivity clauses from analyze._snark_clauses,
+    evaluated before the pass, and its coloring count from the pass's
+    reverse fold, so the host is folded once.  A recipe that does not
+    parse or build, an oversized instance, a graph that certification or
+    psi rejects as outside its domain, and an over-budget pass each yield
+    a single truncation marker instead, after the psi records of the
+    representatives before the one psi rejects, so one bad recipe never
+    ends a search.  ``max_nodes`` caps the states of the whole pass, the
+    coloring count included, so going over it truncates the whole recipe."""
     budget = budget or SearchBudget()
     try:
         canonical = format_recipe(parse_recipe(recipe_text))
@@ -231,7 +238,7 @@ def evaluate_recipe_records(
     if g.m > budget.max_edges:
         return [TruncationRecord(canonical, f"edge count {g.m} over budget")]
     try:
-        cert = certify_snark(g)
+        clauses = _snark_clauses(g)
     except DomainError as exc:
         return [TruncationRecord(canonical, f"certification: {exc}")]
     g6 = encode_graph6(g)
@@ -249,13 +256,16 @@ def evaluate_recipe_records(
             reps.append(rep)
     except DomainError as exc:
         failure = TruncationRecord(canonical, f"psi: {exc}")
+    if not reps:
+        return [failure]
     try:
-        counts = _psi_pass(g, reps, node_budget=budget.max_nodes)
+        counts, colorings = _psi_pass(g, reps, node_budget=budget.max_nodes)
     except BudgetExceededError as exc:
         return [TruncationRecord(canonical, str(exc))]
     except CountContradictionError as exc:
         return [TruncationRecord(canonical, f"psi: {exc}")]
-    wall_time = round((time.perf_counter() - t0) / max(len(reps), 1), 6)
+    certificate = SnarkCertificate(*clauses, colorings).summary()
+    wall_time = round((time.perf_counter() - t0) / len(reps), 6)
     out: list[LedgerEntry] = []
     for rep in reps:
         try:
@@ -269,7 +279,7 @@ def evaluate_recipe_records(
                 edge_index=rep,
                 psi=psi_val,
                 ec_count=6 * counts[rep],
-                certificate=cert.summary(),
+                certificate=certificate,
                 wall_time=wall_time,
                 tags=("pentagon",) if rep in pentagon_edges else (),
             )

@@ -29,7 +29,9 @@ with the package's kernel (the package's psi_counts reads every edge's
 count from one pass over the host's Klein flows).  A coloring step table
 comes from testing every product of closing and opening colors against
 the vertex rule (the package shifts the shape's valid colorings onto the
-step's slots).
+step's slots).  The isomorphism search's vertex invariant keeps its former
+form here, valence and sorted BFS distances from one search per vertex
+(the package counts the vertices in balls grown for all vertices at once).
 """
 
 from __future__ import annotations
@@ -690,6 +692,23 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     """Automorphism orbits on vertices, same ordering conventions as
     edge_orbits_by_all_automorphisms."""
     return orbit_partition(g.n, automorphisms(g))
+
+
+def sorted_bfs_distances(g: Graph) -> list[tuple]:
+    """Per vertex: its valence and its sorted BFS distances to all
+    vertices, -1 for those out of reach."""
+    out = []
+    for root in range(g.n):
+        dist = [-1] * g.n
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            for w in g.neighbors(u):
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        out.append((g.valence(root), tuple(sorted(dist))))
+    return out
 
 
 def smoothed_decomposition_count(g: Graph, e: EdgeLike) -> int:

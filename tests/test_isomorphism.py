@@ -5,7 +5,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import edge_orbits_by_all_automorphisms, to_nx, vertex_orbits
+from oracles import (
+    edge_orbits_by_all_automorphisms,
+    sorted_bfs_distances,
+    to_nx,
+    vertex_orbits,
+)
 from snarkforge import isomorphism
 from snarkforge.coloring import psi
 from snarkforge.construct import flower
@@ -198,6 +203,24 @@ def relabeled_case(name: str, seed: int) -> Graph:
 ))
 def test_edge_orbits_match_all_automorphisms_at_random(g):
     assert edge_orbits(g) == edge_orbits_by_all_automorphisms(g)
+
+
+def same_as(invariants: list) -> list[list[bool]]:
+    return [[x == y for y in invariants] for x in invariants]
+
+
+@SETTINGS
+@given(st.lists(st.one_of(
+    cubic_graphs(24),
+    st.builds(relabeled_case, st.sampled_from(sorted(ORBIT_CASES)), seeds),
+), min_size=2, max_size=2))
+def test_invariants_tell_apart_what_sorted_bfs_distances_do(graphs):
+    # within a graph, and between two graphs of one order, as _match uses them
+    g, h = graphs
+    assert same_as(isomorphism._invariants(g)) == same_as(sorted_bfs_distances(g))
+    if g.n == h.n:
+        ours = sorted(isomorphism._invariants(g)) == sorted(isomorphism._invariants(h))
+        assert ours == (sorted(sorted_bfs_distances(g)) == sorted(sorted_bfs_distances(h)))
 
 
 def test_edge_orbits_are_stored_and_returned_fresh(monkeypatch):

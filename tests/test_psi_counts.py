@@ -2,8 +2,8 @@
 reverse pass over the host's Klein flows, against the single-edge
 smoothed route (oracles.smoothed_decomposition_count), which shares none
 of the pass's zero states, relabelled sums or last-vertex weights; and
-the search harness that now reads its psi records from one pass per
-recipe."""
+the search harness that now reads its psi records and its certificate's
+coloring count from one pass per recipe."""
 
 import random
 from collections import Counter
@@ -13,8 +13,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import smoothed_decomposition_count
+from strategies import moebius_ladder, prism_graph
 from snarkforge import analyze, coloring, graph, ledger
-from snarkforge.coloring import count_decompositions, psi_counts, psi_with_counts
+from snarkforge.analyze import certify_snark
+from snarkforge.coloring import (
+    count_colorings,
+    count_decompositions,
+    psi_counts,
+    psi_with_counts,
+)
 from snarkforge.construct import flower, petersen
 from snarkforge.errors import BudgetExceededError, CountContradictionError, DomainError
 from snarkforge.graph import Graph, frontier_order, girth
@@ -25,6 +32,7 @@ from snarkforge.ledger import (
     SearchBudget,
     TruncationRecord,
     evaluate_recipe_records,
+    flower_family,
     search,
     superpose_chain_family,
 )
@@ -104,6 +112,35 @@ BRIDGED = Graph.from_edges(14, subdivided_k33(0) + subdivided_k33(7) + [(6, 13)]
 K33 = Graph.from_edges(6, [(a, 3 + b) for a in range(3) for b in range(3)])
 
 
+# each host with its edge-3-coloring count: the snarks, then colorable ones
+HOST_COUNTS = {name: (g, 0) for name, g in HOSTS.items()}
+HOST_COUNTS.update({
+    "K33": (K33, 12), "prism4": (prism_graph(4), 24), "prism5": (prism_graph(5), 30),
+    "prism7": (prism_graph(7), 126), "moebius4": (moebius_ladder(4), 18),
+    "moebius6": (moebius_ladder(6), 66),
+})
+
+
+@pytest.mark.parametrize("name", HOST_COUNTS)
+def test_the_pass_counts_the_host_colorings_as_the_forward_fold_does(name):
+    # the reverse fold's host count, the certificate's EC= in a search,
+    # against count_colorings' forward fold; asked for the last vertex's
+    # edges alone, the pass folds the plain states over every vertex
+    g, ec = HOST_COUNTS[name]
+    assert count_colorings(g) == ec
+    last = frontier_order(g)[-1]
+    for edges in [range(g.m), *([i] for i in g.incident_edges(last))]:
+        assert coloring._psi_pass(g, list(edges))[1] == ec
+
+
+@SETTINGS
+@given(girth4_cubic(), seeds)
+def test_random_hosts_count_their_colorings_both_ways(g, seed):
+    rng = random.Random(seed)
+    subset = rng.sample(range(g.m), rng.randint(1, g.m))
+    assert coloring._psi_pass(g, subset)[1] == count_colorings(g)
+
+
 def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
     # a triangle, and the bridge (6, 13), whose smoothing is disconnected
     two_k33 = Graph.from_edges(12, K33.edges + tuple((6 + a, 6 + b) for a, b in K33.edges))
@@ -128,7 +165,9 @@ def test_budget_boundary_on_the_j3_chain():
         count_decompositions(chain, node_budget=6897)
     reps = [orbit[0] for orbit in edge_orbits(chain)]
     assert len(reps) == 39
-    assert coloring._psi_pass(chain, reps, node_budget=18365) == psi_counts(chain, reps)
+    # the pass's reverse fold runs on to vertex 0 for the host's coloring
+    # count, and on a snark those last steps carry no states
+    assert coloring._psi_pass(chain, reps, node_budget=18365) == (psi_counts(chain, reps), 0)
     with pytest.raises(BudgetExceededError, match="exceeded 18364 DP states"):
         coloring._psi_pass(chain, reps, node_budget=18364)
 
@@ -192,3 +231,20 @@ def test_chain_search_makes_one_pass_and_no_smoothing(monkeypatch):
     entries = list(search([list(superpose_chain_family(3))[-1]]))
     assert len(entries) == 39 and all(isinstance(e, PsiRecord) for e in entries)
     assert calls == {"pass": 1}
+
+
+def test_search_certificates_come_from_the_pass(monkeypatch):
+    # a search folds each host once, in its psi pass, and certifies it
+    # with the pass's coloring count
+    recipes = [*flower_family(13), *superpose_chain_family(3)]
+    with monkeypatch.context() as patched:
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("a search ran count_colorings")
+
+        patched.setattr(analyze, "count_colorings", no_count)
+        entries = list(search(recipes))
+    assert len(entries) == 4 * 5 + 1 + 19 + 29 + 39
+    for e in entries:
+        assert isinstance(e, PsiRecord)
+        assert e.certificate == certify_snark(evaluate_text(e.recipe)).summary()
