@@ -1,9 +1,9 @@
 """Immutable simple-graph values and the structural operations the rest of
 the package builds on: vertex/edge deletion, the edge-smoothing surgery,
-girth, cycle listing, cyclic edge connectivity, the vertex order every
-frontier DP places vertices in, and the frontier DP over 2-factors that
-gives the even-cover sum (covers.py), the orthogonality count (kempe.py)
-and the Hamiltonian cycle count.
+girth, cycle listing, cyclic edge connectivity, the refined vertex
+coloring, the vertex order every frontier DP places vertices in, and the
+frontier DP over 2-factors that gives the even-cover sum (covers.py), the
+orthogonality count (kempe.py) and the Hamiltonian cycle count.
 
 Both frontier DPs, the coloring kernel (coloring.py) and the 2-factor
 fold, pack a state into one int, a field per frontier_layout slot, and
@@ -356,6 +356,53 @@ def list_pentagons(g: Graph) -> list[Cycle]:
     return find_cycles(g, 5)
 
 
+# -- refined vertex coloring -----------------------------------------
+
+
+def _invariants(g: Graph) -> list[tuple]:
+    """Per vertex: its valence and how many vertices lie within distance
+    0, 1, 2, ... of it, up to the largest distance in g, which says what
+    its sorted BFS distances to all vertices say, in g and between graphs
+    of one order.  Every vertex's ball is a bitmask, and each round grows
+    all of them by one step."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    balls = [1 << v for v in range(g.n)]
+    sizes = [[1] for _ in range(g.n)]
+    while True:
+        grown = []
+        for nbrs, ball in zip(adj, balls):
+            for w in nbrs:
+                ball |= balls[w]
+            grown.append(ball)
+        if grown == balls:
+            return [(len(nbrs), tuple(row)) for nbrs, row in zip(adj, sizes)]
+        balls = grown
+        for row, ball in zip(sizes, balls):
+            row.append(ball.bit_count())
+
+
+def refined_coloring(g: Graph) -> tuple[int, ...]:
+    """A color per vertex: _invariants refined to a stable coloring, each
+    class split by its members' multisets of neighbor colors until none
+    splits, computed once per graph value and stored on it as
+    ``_refined_coloring``.  Every automorphism keeps each vertex's color,
+    so each vertex orbit lies in one class (McKay and Piperno)."""
+    colors = getattr(g, "_refined_coloring", None)
+    if colors is None:
+        adj = [g.neighbors(v) for v in range(g.n)]
+        colors, count = _invariants(g), 0
+        while True:
+            signs = [(c, tuple(sorted([colors[w] for w in nbrs])))
+                     for c, nbrs in zip(colors, adj)]
+            ranks = {s: k for k, s in enumerate(sorted(set(signs)))}
+            colors = tuple(ranks[s] for s in signs)
+            if len(ranks) == count:
+                break
+            count = len(ranks)
+        object.__setattr__(g, "_refined_coloring", colors)
+    return colors
+
+
 # -- frontier order and the 2-factor fold -----------------------------
 
 
@@ -407,16 +454,24 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
     2-factor fold), searched once per graph value and stored on it as
     ``_frontier_order``, where a smoothed graph is handed its host's.
 
-    Greedy orders from every start vertex under both tie rules; the one
-    with the smallest sum of 3^|frontier| wins.  Any vertex permutation
-    gives every DP the same value; the order sets the cost alone."""
+    Greedy orders under both tie rules from the least vertex of each
+    class of refined_coloring(g), in label order; the one with the
+    smallest sum of 3^|frontier| wins, the first found on a tie.  An
+    automorphism keeps the classes, so each class is a union of vertex
+    orbits, on most hosts one.  Ties within a run go by label, so orbit
+    mates need not give equal costs, and the order may cost more than the
+    best from every start.  Any vertex permutation gives every DP the same
+    value; the order sets the cost alone."""
     # getattr, not g.__dict__: reading __dict__ materializes it, which
     # slows every later attribute read on the graph (CPython 3.11)
     order = getattr(g, "_frontier_order", None)
     if order is None:
         powers = [3**k for k in range(g.m + 1)]  # a frontier holds at most m edges
+        starts: dict[int, int] = {}  # class -> its least vertex, in label order
+        for v, c in enumerate(refined_coloring(g)):
+            starts.setdefault(c, v)
         best = (float("inf"), ())
-        for start in range(g.n):
+        for start in starts.values():
             for by_age in (True, False):
                 best = _greedy_order(g, powers, start, by_age, best[0]) or best
         order = best[1]

@@ -4,64 +4,28 @@ Backtracking over vertex maps, anchored on neighbors: vertices are mapped
 in BFS order, and every vertex except a component root takes its image
 from the unused neighbors of its BFS parent's image, so the branching at
 each step is at most the valence.  Candidates are filtered by a per-vertex
-invariant (valence plus how many vertices lie within each distance, what
-the sorted BFS distances to all vertices say, from bitmask balls grown
-one step per round for all vertices at once), and a candidate is kept
-only when its already-mapped neighbors are exactly the images of the
-vertex's already-mapped neighbors.  Only component roots scan every
-vertex of the target.  A search may pin vertices to given images; its
-BFS order then starts at the pins.
+invariant (graph._invariants: valence plus how many vertices lie within
+each distance, what the sorted BFS distances to all vertices say), and a
+candidate is kept only when its already-mapped neighbors are exactly the
+images of the vertex's already-mapped neighbors.  Only component roots
+scan every vertex of the target.  A search may pin vertices to given
+images; its BFS order then starts at the pins.
 
 Edge orbits come from a few pinned searches (orbit pruning, as in McKay
 and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
-(2014)) over the invariant refined to a stable coloring: an edge not yet
-in an orbit gets the ends of each earlier representative pinned on its
-own, both ways where the colors agree.  A map found joins every edge with
-its image, and with none the edge starts an orbit.  A complete pinned
-search finds a map whenever one exists, so the orbits are exact.
+(2014)) over graph.refined_coloring, the invariant refined to a stable
+coloring, stored on the graph value: an edge not yet in an orbit gets the
+ends of each earlier representative pinned on its own, both ways where
+the colors agree.  A map found joins every edge with its image, and with
+none the edge starts an orbit.  A complete pinned search finds a map
+whenever one exists, so the orbits are exact.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graph import Graph
-
-
-def _invariants(g: Graph) -> list[tuple]:
-    """Per vertex: its valence and how many vertices lie within distance
-    0, 1, 2, ... of it, up to the largest distance in g, which says what
-    its sorted BFS distances to all vertices say, in g and between graphs
-    of one order.  Every vertex's ball is a bitmask, and each round grows
-    all of them by one step."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    balls = [1 << v for v in range(g.n)]
-    sizes = [[1] for _ in range(g.n)]
-    while True:
-        grown = []
-        for nbrs, ball in zip(adj, balls):
-            for w in nbrs:
-                ball |= balls[w]
-            grown.append(ball)
-        if grown == balls:
-            return [(len(nbrs), tuple(row)) for nbrs, row in zip(adj, sizes)]
-        balls = grown
-        for row, ball in zip(sizes, balls):
-            row.append(ball.bit_count())
-
-
-def _refine(g: Graph, colors: list) -> list[int]:
-    """Split the color classes by their members' multisets of neighbor
-    colors until none splits; automorphisms keeping ``colors`` keep these."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    out, count = colors, 0
-    while True:
-        signs = [(c, tuple(sorted([out[w] for w in nbrs]))) for c, nbrs in zip(out, adj)]
-        ranks = {s: k for k, s in enumerate(sorted(set(signs)))}
-        out = [ranks[s] for s in signs]
-        if len(ranks) == count:
-            return out
-        count = len(ranks)
+from .graph import Graph, _invariants, refined_coloring
 
 
 def _match(
@@ -165,7 +129,7 @@ def edge_orbits(g: Graph) -> list[list[int]]:
 
 
 def _pinned_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
-    colors = _refine(g, _invariants(g))
+    colors = refined_coloring(g)
     root = list(range(g.m))  # union-find over edges, rooted at least members
     reps: list[int] = []
     # the representatives' ends, by their ends' colors

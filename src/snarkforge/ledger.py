@@ -15,7 +15,6 @@ file a faithful event log (single writer, any number of readers).
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -194,6 +193,10 @@ class Ledger:
 
     def export_csv(self, path: str) -> None:
         """Summary: one row per achieved value with its smallest witness."""
+        # imported here, as search imports multiprocessing: no other
+        # caller of the package needs it at start-up
+        import csv
+
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["psi", "witness_vertices", "recipe"])

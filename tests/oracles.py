@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import networkx as nx
 
@@ -642,14 +642,53 @@ def greedy_order_by_tuple_keys(
     return cost, tuple(order)
 
 
-def frontier_order_by_tuple_keys(g: Graph) -> tuple[int, ...]:
-    """The best of the 2n greedy orders (every start, both tie rules) by
-    the sum of 3^|frontier|, the first found winning ties."""
+def refined_vertex_classes(g: Graph) -> list[list[int]]:
+    """The classes of sorted_bfs_distances, split again and again while
+    two members of a class have different multisets of neighbour classes;
+    each class sorted, classes ordered by least member.  Every
+    automorphism keeps each class."""
+    color = sorted_bfs_distances(g)
+    count = len(set(color))
+    while True:
+        names: dict = {}
+        color = [
+            names.setdefault((color[v], tuple(sorted(color[w] for w in g.neighbors(v)))), len(names))
+            for v in range(g.n)
+        ]
+        if len(names) == count:
+            break
+        count = len(names)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(color):
+        classes.setdefault(c, []).append(v)
+    return list(classes.values())
+
+
+def frontier_order_by_tuple_keys(
+    g: Graph, starts: Optional[Iterable[int]] = None
+) -> tuple[int, ...]:
+    """The best greedy order by the sum of 3^|frontier|, both tie rules
+    from each of ``starts`` in turn, the first found winning ties.  The
+    starts default to the least vertex of each refined_vertex_classes
+    class, as graph.frontier_order takes them; ``range(g.n)`` gives the
+    search from every vertex, the cost reference."""
+    if starts is None:
+        starts = [members[0] for members in refined_vertex_classes(g)]
     best = (float("inf"), ())
-    for start in range(g.n):
+    for start in starts:
         for by_age in (True, False):
             best = greedy_order_by_tuple_keys(g, start, by_age, best[0]) or best
     return best[1]
+
+
+def order_cost(g: Graph, order) -> int:
+    """The sum of 3^|frontier| over the steps of ``order``: the edges
+    between placed and unplaced vertices after each placement."""
+    pos = {v: k for k, v in enumerate(order)}
+    return sum(
+        3 ** sum(min(pos[u], pos[v]) <= k < max(pos[u], pos[v]) for u, v in g.edges)
+        for k in range(g.n)
+    )
 
 
 def orbit_partition(size: int, images) -> list[list[int]]:

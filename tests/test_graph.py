@@ -14,6 +14,7 @@ from oracles import (
     hamiltonian_by_cycle_enumeration,
     hamiltonian_cycles_by_permutations,
     has_two_disjoint_cycles_by_enumeration,
+    order_cost,
     to_nx,
 )
 from strategies import (
@@ -336,7 +337,41 @@ def graphs_with_orders(draw, max_n: int):
     return g, order, d1, d2
 
 
+# The sum of 3^|frontier| over each named host's frontier order.  Each
+# equals the cost of the best order from every start vertex, except on
+# flower(5) and its isomorph (P, J5), which cost 36424 from every start:
+# there the winning start is not the least vertex of its refined class.
+ORDER_COSTS = {
+    "(petersen)": 2404,
+    "(flower 5)": 51976,
+    "(flower 7)": 100576,
+    "(flower 9)": 147232,
+    "(flower 11)": 193888,
+    "(flower 13)": 240544,
+    **dict(zip(list(superpose_chain_family(3))[1:], [11476, 67852, 341956])),
+    "(pentagonjoin (petersen) p=0 (petersen) p=0)": 2404,
+    "(pentagonjoin (petersen) p=0 (flower 5) p=0)": 51976,
+    "(pentagonjoin (flower 5) p=0 (petersen) p=0)": 40312,
+    "(pentagonjoin (flower 5) p=0 (flower 5) p=0)": 89884,
+    "(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1)": 4996,
+    "(dotproduct (petersen) e1=0 e2=7 (petersen) x=0 y=1 wiring=crossed)": 4996,
+    "(dotproduct (flower 5) e1=0 e2=7 (petersen) x=0 y=1)": 38368,
+    "(dotproduct (petersen) e1=0 e2=7 (flower 5) x=0 y=1)": 40960,
+}
+COST_FROM_EVERY_START = {
+    "(flower 5)": 36424,
+    "(pentagonjoin (petersen) p=0 (flower 5) p=0)": 36424,
+}
+
+
 class TestFrontierOrder:
+    @pytest.mark.parametrize("text", ORDER_COSTS)
+    def test_order_cost_on_named_hosts(self, text):
+        g = evaluate_text(text)
+        assert order_cost(g, frontier_order(g)) == ORDER_COSTS[text]
+        every_start = frontier_order_by_tuple_keys(g, range(g.n))
+        assert order_cost(g, every_start) == COST_FROM_EVERY_START.get(text, ORDER_COSTS[text])
+
     def test_disjoint_k4s_restart_at_smallest_unplaced(self, K4):
         two = Graph.from_edges(8, list(K4.edges) + [(a + 4, b + 4) for a, b in K4.edges])
         assert frontier_order(two) == tuple(range(8))

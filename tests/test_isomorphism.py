@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     edge_orbits_by_all_automorphisms,
+    refined_vertex_classes,
     sorted_bfs_distances,
     to_nx,
     vertex_orbits,
 )
-from snarkforge import isomorphism
+from snarkforge import graph, isomorphism
 from snarkforge.coloring import psi
 from snarkforge.construct import flower
-from snarkforge.graph import Graph, contract_removed_edge
+from snarkforge.graph import Graph, contract_removed_edge, frontier_order, refined_coloring
 from snarkforge.isomorphism import (
     automorphisms,
     edge_orbits,
@@ -147,19 +148,33 @@ def test_is_isomorphic_matches_networkx(g, perm_seed, other_seed):
 
 
 def test_automorphisms_compute_invariants_once(monkeypatch):
-    # _match(g, g) compares g with itself: one invariant list serves both
+    # one refined coloring per graph value serves the orbit search, which
+    # compares g with itself, and the frontier order, in either order
     calls = []
-    real = isomorphism._invariants
+    real = graph._invariants
 
     def counted(g):
         calls.append(g)
         return real(g)
 
+    monkeypatch.setattr(graph, "_invariants", counted)
     monkeypatch.setattr(isomorphism, "_invariants", counted)
-    g = flower(7)
+    g, h = flower(7), flower(9)
     assert len(edge_orbits(g)) == 4
-    assert calls == [g]
-    assert is_isomorphic(g, flower(7)) and len(calls) == 3
+    frontier_order(g)
+    frontier_order(h)
+    assert len(edge_orbits(h)) == 4
+    assert calls == [g, h]
+    # between two graphs, _match computes both invariant lists
+    assert is_isomorphic(g, flower(7)) and len(calls) == 4
+
+
+def test_frontier_order_runs_no_automorphism_search(monkeypatch):
+    # the order reads the refined coloring alone, so a fresh join graph
+    # does not pay for its edge orbits
+    monkeypatch.setattr(isomorphism, "_match", None)
+    g = evaluate_text("(pentagonjoin (flower 5) p=0 (flower 5) p=0)")
+    assert sorted(frontier_order(g)) == list(range(g.n))
 
 
 DOT_PRODUCTS = [
@@ -205,6 +220,34 @@ def test_edge_orbits_match_all_automorphisms_at_random(g):
     assert edge_orbits(g) == edge_orbits_by_all_automorphisms(g)
 
 
+def assert_classes_hold_vertex_orbits(g: Graph) -> None:
+    colors = refined_coloring(g)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    assert list(classes.values()) == refined_vertex_classes(g)
+    # every automorphism keeps each vertex's class
+    assert all(len({colors[v] for v in orbit}) == 1 for orbit in vertex_orbits(g))
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_refined_classes_hold_vertex_orbits(name):
+    assert_classes_hold_vertex_orbits(ORBIT_CASES[name]())
+
+
+@SETTINGS
+@given(st.one_of(
+    cubic_graphs(24),
+    # two copies of one random cubic graph and a third, smaller one; three
+    # copies of one graph of order 8 would make the oracle's group large
+    st.builds(lambda n, s, t: random_cubic_union([(n, s), (n, s), (8, t)]),
+              st.sampled_from(range(10, 13, 2)), seeds, seeds),
+    st.builds(relabeled_case, st.sampled_from(sorted(ORBIT_CASES)), seeds),
+))
+def test_refined_classes_hold_vertex_orbits_at_random(g):
+    assert_classes_hold_vertex_orbits(g)
+
+
 def same_as(invariants: list) -> list[list[bool]]:
     return [[x == y for y in invariants] for x in invariants]
 
@@ -217,9 +260,9 @@ def same_as(invariants: list) -> list[list[bool]]:
 def test_invariants_tell_apart_what_sorted_bfs_distances_do(graphs):
     # within a graph, and between two graphs of one order, as _match uses them
     g, h = graphs
-    assert same_as(isomorphism._invariants(g)) == same_as(sorted_bfs_distances(g))
+    assert same_as(graph._invariants(g)) == same_as(sorted_bfs_distances(g))
     if g.n == h.n:
-        ours = sorted(isomorphism._invariants(g)) == sorted(isomorphism._invariants(h))
+        ours = sorted(graph._invariants(g)) == sorted(graph._invariants(h))
         assert ours == (sorted(sorted_bfs_distances(g)) == sorted(sorted_bfs_distances(h)))
 
 
@@ -230,5 +273,5 @@ def test_edge_orbits_are_stored_and_returned_fresh(monkeypatch):
     first[0].append(-1)
     first.append([])
     # a second call reads the stored orbits: no search runs
-    monkeypatch.setattr(isomorphism, "_invariants", None)
+    monkeypatch.setattr(isomorphism, "_pinned_orbits", None)
     assert edge_orbits(g) == expected

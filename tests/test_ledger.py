@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+import snarkforge
 from snarkforge import ledger as ledger_module
 from snarkforge.errors import DomainError, LedgerIntegrityError
 from snarkforge.graph import Graph
@@ -191,6 +196,17 @@ class TestLedgerStore:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "psi,witness_vertices,recipe"
         assert lines[1] == "1,10,(petersen)"
+
+    def test_import_leaves_csv_and_multiprocessing_out(self):
+        # export_csv and a pooled search import them when they run, so
+        # start-up does not pay for them
+        src = str(Path(snarkforge.__file__).resolve().parent.parent)
+        code = "import sys, snarkforge; print('csv' in sys.modules, 'multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestRecipeEvaluation:

@@ -1,9 +1,10 @@
 """A smoothed graph inherits its host's frontier order through
 graph.contract_removed_edge alone, the verifiers smooth through that
 public call, the frontier DPs read their slots through
-graph.frontier_layout, and every caller reads edge orbits through
+graph.frontier_layout, every caller reads the refined vertex coloring
+through graph.refined_coloring and edge orbits through
 isomorphism.edge_orbits.  Read the package with ast so that no other
-module reads or writes graph.py's stored order or layout or
+module reads or writes graph.py's stored order, layout or coloring or
 isomorphism.py's stored orbits, and analyze.py imports no private name
 from coloring."""
 
@@ -14,6 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "snarkforge"
 STORED = {
     "_frontier_order": "graph.py",
     "_frontier_layout": "graph.py",
+    "_refined_coloring": "graph.py",
     "_edge_orbits": "isomorphism.py",
 }
 
