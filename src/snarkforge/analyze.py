@@ -348,8 +348,8 @@ def condition_k(g: Graph, e: EdgeLike) -> bool:
     The host must be cubic, cyclically 4-edge-connected, with girth at
     least 5; its colorability is deliberately not assumed.
     """
-    cert = certify_snark(g)
-    if not (cert.girth_ok and cert.connectivity_ok):
+    _, girth_ok, _, connectivity_ok = _snark_clauses(g)
+    if not (girth_ok and connectivity_ok):
         raise DomainError(
             "Condition K expects girth at least 5 and cyclic 4-edge-connectivity"
         )

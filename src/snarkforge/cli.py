@@ -62,6 +62,9 @@ def _emit(args, human: str, payload: dict) -> None:
 
 def cmd_build(args) -> int:
     g = evaluate_text(args.recipe)
+    if args.dot:
+        print(to_dot(g), end="")
+        return PASS
     payload = {
         "recipe": format_recipe(parse_recipe(args.recipe)),
         "vertices": g.n,
@@ -70,9 +73,6 @@ def cmd_build(args) -> int:
         "girth": girth(g),
         "valences": valence_profile(g),
     }
-    if args.dot:
-        print(to_dot(g), end="")
-        return PASS
     _emit(
         args,
         f"{payload['recipe']}: {g.n} vertices, {g.m} edges, girth {payload['girth']}\n"

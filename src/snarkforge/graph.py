@@ -385,8 +385,9 @@ def refined_coloring(g: Graph) -> tuple[int, ...]:
     """A color per vertex: _invariants refined to a stable coloring, each
     class split by its members' multisets of neighbor colors until none
     splits, computed once per graph value and stored on it as
-    ``_refined_coloring``.  Every automorphism keeps each vertex's color,
-    so each vertex orbit lies in one class (McKay and Piperno)."""
+    ``_refined_coloring``.  The signatures are label-free and ranked in
+    sorted order, so every isomorphism keeps each vertex's color, and each
+    vertex orbit lies in one class (McKay and Piperno)."""
     colors = getattr(g, "_refined_coloring", None)
     if colors is None:
         adj = [g.neighbors(v) for v in range(g.n)]
@@ -484,21 +485,19 @@ Layout = tuple[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...], 
 
 def frontier_layout(g: Graph) -> Layout:
     """(steps, width): the slots every frontier DP keeps its frontier edges
-    in, derived once from frontier_order(g) and stored with it as
-    ``_frontier_layout``.  Step k places the k-th vertex of the order and
-    is (closing, opening): the slots of the edges back to placed vertices,
-    which it frees, in incidence order, and the (edge, slot) pairs of the
-    edges it opens, each taking the last freed slot or else a new one.
-    ``width`` counts the slots.  The layout is rebuilt whenever the stored
-    order is not the one it was derived from."""
-    order = frontier_order(g)
-    stored = getattr(g, "_frontier_layout", None)
-    if stored is None or stored[0] is not order:
+    in, derived once per graph value from frontier_order(g) and stored on
+    it as ``_frontier_layout``.  Step k places the k-th vertex of the
+    order and is (closing, opening): the slots of the edges back to placed
+    vertices, which it frees, in incidence order, and the (edge, slot)
+    pairs of the edges it opens, each taking the last freed slot or else a
+    new one.  ``width`` counts the slots."""
+    layout = getattr(g, "_frontier_layout", None)
+    if layout is None:
         placed = [False] * g.n
         slot: dict[int, int] = {}
         free: list[int] = []
         steps = []
-        for v in order:
+        for v in frontier_order(g):
             placed[v] = True
             closing: list[int] = []
             opening: list[tuple[int, int]] = []
@@ -511,9 +510,9 @@ def frontier_layout(g: Graph) -> Layout:
                     slot[i] = free.pop() if free else len(slot) + len(free)
                     opening.append((i, slot[i]))
             steps.append((tuple(closing), tuple(opening)))
-        stored = (order, (tuple(steps), len(free)))
-        object.__setattr__(g, "_frontier_layout", stored)
-    return stored[1]
+        layout = (tuple(steps), len(free))
+        object.__setattr__(g, "_frontier_layout", layout)
+    return layout
 
 
 def frontier_step(

@@ -3,43 +3,42 @@
 Backtracking over vertex maps, anchored on neighbors: vertices are mapped
 in BFS order, and every vertex except a component root takes its image
 from the unused neighbors of its BFS parent's image, so the branching at
-each step is at most the valence.  Candidates are filtered by a per-vertex
-invariant (graph._invariants: valence plus how many vertices lie within
-each distance, what the sorted BFS distances to all vertices say), and a
-candidate is kept only when its already-mapped neighbors are exactly the
-images of the vertex's already-mapped neighbors.  Only component roots
-scan every vertex of the target.  A search may pin vertices to given
-images; its BFS order then starts at the pins.
+each step is at most the valence.  Candidates are filtered by one
+per-vertex invariant, graph.refined_coloring, stored on each graph value:
+valence and distance-ball sizes refined to a stable coloring, its classes
+ranked in sorted order of their label-free signatures, so an isomorphism
+keeps every vertex's color, between two graphs as within one (McKay and
+Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
+(2014)).  A candidate is kept only when its already-mapped neighbors are
+exactly the images of the vertex's already-mapped neighbors.  Only
+component roots scan every vertex of the target.  A search may pin
+vertices to given images; its BFS order then starts at the pins.
 
 Edge orbits come from a few pinned searches (orbit pruning, as in McKay
-and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
-(2014)) over graph.refined_coloring, the invariant refined to a stable
-coloring, stored on the graph value: an edge not yet in an orbit gets the
-ends of each earlier representative pinned on its own, both ways where
-the colors agree.  A map found joins every edge with its image, and with
-none the edge starts an orbit.  A complete pinned search finds a map
-whenever one exists, so the orbits are exact.
+and Piperno): an edge not yet in an orbit gets the ends of each earlier
+representative pinned on its own, both ways where the colors agree.  A
+map found joins every edge with its image, and with none the edge starts
+an orbit.  A complete pinned search finds a map whenever one exists, so
+the orbits are exact.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graph import Graph, _invariants, refined_coloring
+from .graph import Graph, refined_coloring
 
 
-def _match(
-    g: Graph, h: Graph, pins: Optional[dict[int, int]] = None, colors: Optional[list] = None
-) -> Iterator[list[int]]:
+def _match(g: Graph, h: Graph, pins: Optional[dict[int, int]] = None) -> Iterator[list[int]]:
     """Yield vertex bijections g -> h preserving adjacency, each sending
     every vertex u in ``pins`` to pins[u].  A vertex and its image agree on
-    _invariants, or, in a search of g against itself, on ``colors``."""
+    refined_coloring, so two graphs whose color multisets differ have
+    none."""
     if g.n != h.n or g.m != h.m:
         return
     pins = pins or {}
-    gi = _invariants(g) if colors is None else colors
-    hi = gi if h is g else _invariants(h)
-    if hi is not gi and sorted(gi) != sorted(hi):
+    gi, hi = refined_coloring(g), refined_coloring(h)
+    if h is not g and sorted(gi) != sorted(hi):
         return
     # BFS order from the pinned vertices first: every vertex but a
     # component root has a mapped BFS parent, and its image must be a
@@ -141,7 +140,7 @@ def _pinned_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
         # ends onto (a, b) or (b, a) where their colors agree
         perm = next((m for x, y in ((a, b), (b, a))
                      for p, q in ends.get((colors[x], colors[y]), ())
-                     for m in _match(g, g, {p: x, q: y}, colors)), None)
+                     for m in _match(g, g, {p: x, q: y})), None)
         if perm is None:
             reps.append(j)
             ends.setdefault((colors[a], colors[b]), []).append((a, b))

@@ -76,13 +76,6 @@ class Recipe:
     children: tuple["Recipe", ...] = ()
     params: tuple[tuple[str, str], ...] = ()
 
-    def param(self, key: str) -> str:
-        """The value of the node's first ``key`` slot."""
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise DomainError(f"recipe {self.op!r} has no parameter {key}=")
-
 
 def _slots(r: Recipe) -> list[tuple[_Slot, object]]:
     """r's slots in canonical order, each with its sub-recipe or value."""

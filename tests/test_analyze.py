@@ -243,6 +243,28 @@ class TestConditionK:
         with pytest.raises(DomainError):
             condition_k(prism, 0)
 
+    def test_counts_no_host_colorings(self, monkeypatch, P, J5, K4, prism):
+        # the condition reads the girth and connectivity clauses alone
+        dod = dodecahedron()
+        cases = [(P, range(P.m))]
+        cases += [(g, [orbit[0] for orbit in edge_orbits(g)]) for g in (J5, dod)]
+
+        def answers():
+            out = [[condition_k(g, e) for e in edges] for g, edges in cases]
+            for g in (K4, prism):
+                with pytest.raises(DomainError) as err:
+                    condition_k(g, 0)
+                out.append(str(err.value))
+            return out
+
+        expected = answers()
+
+        def refuse(g):
+            raise AssertionError("condition_k counted the host's colorings")
+
+        monkeypatch.setattr(analyze, "count_colorings", refuse)
+        assert answers() == expected
+
 
 class TestOrthogonalCensus:
     def test_dot_product_reduction_census(self, P):

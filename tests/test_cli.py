@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from snarkforge import cli
 from snarkforge.cli import main
 from snarkforge.graph6 import encode_graph6
 
@@ -54,6 +55,17 @@ def test_build_and_dot(capsys):
     assert code == 0 and "20 vertices, 30 edges" in out
     code, out, _ = run(capsys, "build", "--recipe", "(petersen)", "--dot")
     assert code == 0 and out.startswith("graph G {")
+
+
+def test_build_dot_computes_nothing_else(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "build", "--recipe", "(petersen)", "--dot")
+
+    def refuse(g):
+        raise AssertionError("build --dot computed the girth")
+
+    monkeypatch.setattr(cli, "girth", refuse)
+    code, out, _ = run(capsys, "build", "--recipe", "(petersen)", "--dot")
+    assert code == 0 and out == expected
 
 
 def test_build_json_matches_library(capsys, P):

@@ -158,15 +158,15 @@ def test_automorphisms_compute_invariants_once(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graph, "_invariants", counted)
-    monkeypatch.setattr(isomorphism, "_invariants", counted)
     g, h = flower(7), flower(9)
     assert len(edge_orbits(g)) == 4
     frontier_order(g)
     frontier_order(h)
     assert len(edge_orbits(h)) == 4
     assert calls == [g, h]
-    # between two graphs, _match computes both invariant lists
-    assert is_isomorphic(g, flower(7)) and len(calls) == 4
+    # between two graphs, _match reads the same stored colorings, so only
+    # the fresh flower(7) is refined
+    assert is_isomorphic(g, flower(7)) and len(calls) == 3
 
 
 def test_frontier_order_runs_no_automorphism_search(monkeypatch):
@@ -218,6 +218,30 @@ def relabeled_case(name: str, seed: int) -> Graph:
 ))
 def test_edge_orbits_match_all_automorphisms_at_random(g):
     assert edge_orbits(g) == edge_orbits_by_all_automorphisms(g)
+
+
+def assert_coloring_is_label_invariant(g: Graph, seed: int) -> None:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    h = relabel(g, perm)
+    colors, relabeled = refined_coloring(g), refined_coloring(h)
+    assert all(relabeled[perm[v]] == colors[v] for v in range(g.n))
+    # so the search between the two graphs finds a map
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None and all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_refined_coloring_is_label_invariant(name):
+    # _match compares colors between two graphs, so a vertex's color may
+    # depend on its graph's shape alone, never on labels
+    assert_coloring_is_label_invariant(ORBIT_CASES[name](), 7)
+
+
+@SETTINGS
+@given(cubic_graphs(24), seeds)
+def test_refined_coloring_is_label_invariant_at_random(g, seed):
+    assert_coloring_is_label_invariant(g, seed)
 
 
 def assert_classes_hold_vertex_orbits(g: Graph) -> None:
