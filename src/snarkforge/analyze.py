@@ -37,10 +37,10 @@ from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
 from .covers import _cover_sum_side
 from .kempe import cocyclic_factor_count, color_pair_counts
 from .klein import COLORS
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SnarkCertificate:
+class SnarkCertificate(Value):
     """Evidence for the three snark clauses at a given connectivity level."""
 
     girth: Optional[int]

@@ -31,7 +31,6 @@ trivalent vertex, so its representatives do not depend on the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
@@ -50,17 +49,19 @@ from .graph import (
     resolve_edge,
 )
 from .klein import COLORS, color_name, group_add, parse_color
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Value):
     """A total proper assignment edge index -> color for a host graph."""
 
     graph: Graph
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.colors) != self.graph.m:
+    def __init__(self, graph: Graph, colors: tuple[int, ...]):
+        set_field(self, "graph", graph)
+        set_field(self, "colors", colors)
+        if len(colors) != graph.m:
             raise DomainError("coloring must assign every edge")
 
     def color(self, e: EdgeLike) -> int:

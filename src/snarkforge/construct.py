@@ -12,8 +12,6 @@ the second factor" by stable identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .graph import (
     Cycle,
@@ -26,6 +24,7 @@ from .graph import (
     is_cubic,
     resolve_edge,
 )
+from .value import Value
 
 
 def petersen() -> Graph:
@@ -102,8 +101,7 @@ def remove_pentagon(g: Graph, p: Cycle) -> tuple[Graph, list[EdgeRef]]:
     return reduced, pendants
 
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(Value):
     """A two-factor construction output with its block maps.
 
     prime_map / star_map send surviving vertices of the first / second

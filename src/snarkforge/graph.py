@@ -24,6 +24,7 @@ from itertools import combinations
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import CyclicConnectivityUndefinedError, DomainError
+from .value import Value, set_field
 
 EdgePair = tuple[int, int]
 
@@ -34,36 +35,37 @@ def _normalize_pair(u: int, v: int) -> EdgePair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """A finite simple undirected graph (no loops, no multiple edges)."""
 
     n: int
     edges: tuple[EdgePair, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[EdgePair, ...]):
+        set_field(self, "n", n)
+        set_field(self, "edges", edges)
+        if n < 1:
             raise DomainError("graph needs at least one vertex")
         prev = None
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise DomainError(f"bad edge ({u},{v}) for n={self.n}")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise DomainError(f"bad edge ({u},{v}) for n={n}")
             pair = (u, v)
             if prev is not None and pair <= prev:
                 raise DomainError("edge list must be sorted and duplicate-free")
             prev = pair
-        neighbors = [[] for _ in range(self.n)]
-        incidence = [[] for _ in range(self.n)]
+        neighbors = [[] for _ in range(n)]
+        incidence = [[] for _ in range(n)]
         index = {}
-        for i, (u, v) in enumerate(self.edges):
+        for i, (u, v) in enumerate(edges):
             neighbors[u].append(v)
             neighbors[v].append(u)
             incidence[u].append(i)
             incidence[v].append(i)
             index[(u, v)] = i
-        object.__setattr__(self, "_neighbors", tuple(tuple(a) for a in neighbors))
-        object.__setattr__(self, "_incidence", tuple(tuple(a) for a in incidence))
-        object.__setattr__(self, "_index", index)
+        set_field(self, "_neighbors", tuple(tuple(a) for a in neighbors))
+        set_field(self, "_incidence", tuple(tuple(a) for a in incidence))
+        set_field(self, "_index", index)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -129,12 +131,15 @@ class Graph:
         return len(self.components()) == 1
 
 
-@dataclass(frozen=True)
-class EdgeRef:
+class EdgeRef(Value):
     """An edge of a specific graph: its index plus the endpoint pair."""
 
     index: int
     pair: EdgePair
+
+    def __init__(self, index: int, pair: EdgePair):
+        set_field(self, "index", index)
+        set_field(self, "pair", pair)
 
 
 EdgeLike = Union[EdgeRef, int, tuple[int, int]]

@@ -26,11 +26,10 @@ The color-pair table is nine pinned counts of the coloring kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .graph import EdgeLike, Graph, is_cubic, resolve_edge, two_factor_fold
 from .klein import COLORS
+from .value import Value
 from .coloring import (
     EdgeColoring,
     _check_colorable_shape,
@@ -40,8 +39,7 @@ from .coloring import (
 )
 
 
-@dataclass(frozen=True)
-class KempeChain:
+class KempeChain(Value):
     """A maximal connected subgraph carrying exactly two colors.  Either a
     path whose two endpoints are univalent in the host, or a cycle."""
 

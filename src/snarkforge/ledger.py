@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, get_type_hints
 
 from . import __version__
@@ -31,10 +30,10 @@ from .coloring import _psi_pass, _smoothable, psi_from_count, psi_with_counts
 from .isomorphism import edge_orbits
 from .analyze import SnarkCertificate, _snark_clauses
 from .recipe import evaluate_text, format_recipe, parse_recipe
+from .value import Value
 
 
-@dataclass(frozen=True)
-class PsiRecord:
+class PsiRecord(Value):
     """One verified psi value: the recipe that builds the graph, the graph
     itself (graph6), an orbit-representative edge, and the raw counts.
     ``wall_time`` is the seconds of the pass that computed psi at every
@@ -71,8 +70,7 @@ class PsiRecord:
             raise DomainError(f"edge index {self.edge_index} invalid for stored graph")
 
 
-@dataclass(frozen=True)
-class TruncationRecord:
+class TruncationRecord(Value):
     """Marker for an instance the search attempted but had to abandon."""
 
     recipe: str
@@ -84,7 +82,6 @@ LedgerEntry = PsiRecord | TruncationRecord
 
 
 def _entry_to_line(entry: LedgerEntry) -> str:
-    # the fields are flat values, so dataclasses.asdict's deep copy buys nothing
     kind = "psi" if isinstance(entry, PsiRecord) else "truncated"
     return json.dumps({"kind": kind, **vars(entry)}, sort_keys=True)
 
@@ -208,14 +205,16 @@ class Ledger:
 # -- search harness -----------------------------------------------------
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(Value):
     """Per-recipe caps of a search: the host's edge count, and the DP
     states of its one psi pass, which also counts the colorings its
     certificate needs."""
 
     max_edges: int = 80
     max_nodes: int = 10**8
+
+    # mutable, so unhashable, as a dataclass that is not frozen
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
 def evaluate_recipe_records(

@@ -26,13 +26,13 @@ reproduces the identical labeled graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .graph import Cycle, Graph, list_pentagons
 from .graph6 import decode_graph6
 from .construct import dot_product, flower, pentagon_join, petersen, superpose_52
+from .value import Value
 
 
 class _Slot(NamedTuple):
@@ -66,8 +66,7 @@ _CONSTRUCTORS = {
 }
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Value):
     """One recipe node: its operator, its sub-recipes in order, and a
     (key, value) pair for every key slot in the operator's slot order,
     omitted optional keys holding their defaults."""

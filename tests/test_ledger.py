@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -80,7 +79,7 @@ class TestLedgerStore:
         good = make_record(P)
         # each a record whose JSON type differs from its field's annotation
         mistyped = [
-            json.dumps({"kind": "psi", **asdict(good), field: value})
+            json.dumps({"kind": "psi", **vars(good), field: value})
             for field, value in [
                 ("graph6", 5),
                 ("psi", True),
@@ -101,7 +100,7 @@ class TestLedgerStore:
 
     def test_integer_wall_time_loads(self, tmp_path, P):
         path = tmp_path / "led.jsonl"
-        line = json.dumps({"kind": "psi", **asdict(make_record(P)), "wall_time": 0})
+        line = json.dumps({"kind": "psi", **vars(make_record(P)), "wall_time": 0})
         path.write_text(line + "\n")
         assert Ledger(str(path)).psi_records()[0].wall_time == 0
 
@@ -128,7 +127,7 @@ class TestLedgerStore:
         # a load decodes each graph6 string once; the record after the one
         # that decoded it is still bound-checked and named by its line
         lines = [
-            json.dumps({"kind": "psi", **asdict(make_record(P, edge=e)), "tags": []})
+            json.dumps({"kind": "psi", **vars(make_record(P, edge=e)), "tags": []})
             for e in (0, 3, edge)
         ]
         path = tmp_path / "led.jsonl"
@@ -173,14 +172,14 @@ class TestLedgerStore:
         assert led.query(1)[0].recipe == "(petersen)"
 
     def test_lines_match_the_asdict_form(self, tmp_path):
-        # a line reads the record's fields shallowly; dataclasses.asdict,
-        # which deep-copies them, gave the same bytes
+        # the asdict form of a record: its kind, then each field as vars()
+        # lists it, since every field is a flat value
         psi = evaluate_recipe_records("(petersen)")[0]
         truncated = evaluate_recipe_records("(flower 15)", budget=SearchBudget(max_edges=80))[0]
         assert psi.tags and isinstance(truncated, TruncationRecord)
         want = [
-            json.dumps({"kind": "psi", **asdict(psi), "tags": list(psi.tags)}, sort_keys=True),
-            json.dumps({"kind": "truncated", **asdict(truncated)}, sort_keys=True),
+            json.dumps({"kind": "psi", **vars(psi), "tags": list(psi.tags)}, sort_keys=True),
+            json.dumps({"kind": "truncated", **vars(truncated)}, sort_keys=True),
         ]
         path = tmp_path / "led.jsonl"
         led = Ledger(str(path))
@@ -276,13 +275,13 @@ class TestSearch:
         # still gets its own graph6 comparison and recount
         good, other = evaluate_recipe_records("(flower 5)")[:2]
         if field == "psi":
-            bad = replace(other, psi=other.psi + 1, ec_count=(other.psi + 1) * 18)
+            bad = PsiRecord(**{**vars(other), "psi": other.psi + 1, "ec_count": (other.psi + 1) * 18})
         else:
             g = decode_graph6(other.graph6)
             swap = list(range(g.n))
             swap[0], swap[-1] = swap[-1], swap[0]
             relabelled = Graph.from_edges(g.n, [(swap[u], swap[v]) for u, v in g.edges])
-            bad = replace(other, graph6=encode_graph6(relabelled))
+            bad = PsiRecord(**{**vars(other), "graph6": encode_graph6(relabelled)})
             assert bad.graph6 != other.graph6
         path = str(tmp_path / "led.jsonl")
         Ledger(path).record(good)
@@ -330,7 +329,8 @@ class TestSearch:
             "psi: decomposition count 1 of the reduced graph is not a multiple of 3",
         ]
         (petersen,) = evaluate_recipe_records("(petersen)")
-        assert replace(entries[4], wall_time=0) == replace(petersen, wall_time=0)
+        untimed = [PsiRecord(**{**vars(rec), "wall_time": 0}) for rec in (entries[4], petersen)]
+        assert untimed[0] == untimed[1]
         assert Ledger(led.path).entries == entries
 
     def test_unparsable_recipe_keeps_its_text(self):
