@@ -41,6 +41,7 @@ from .graph import (
     Graph,
     _require_smoothable,
     contract_removed_edge,
+    cycle_labels,
     frontier_layout,
     frontier_order,
     frontier_step,
@@ -418,20 +419,14 @@ def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
     without smoothing: contract_removed_edge's conditions on the host,
     checked at the first edge, where smoothing would fail them first,
     and count_decompositions' connectivity, which the smoothed graph has
-    exactly when g without e has it."""
+    exactly when g without e has it: g is connected and e's cycle_labels
+    label is not 0."""
     for k, e in enumerate(edges):
         ref = resolve_edge(g, e)
         if not k:
             _require_smoothable(g)
-        u, v = ref.pair
-        seen, todo = {u}, [u]
-        while todo:
-            x = todo.pop()
-            for y in g.neighbors(x):
-                if y not in seen and {x, y} != {u, v}:
-                    seen.add(y)
-                    todo.append(y)
-        if len(seen) < g.n:
+            labels, parts = cycle_labels(g)
+        if parts > 1 or not labels[ref.index]:
             raise DomainError("graph must be connected")
         yield ref.index
 

@@ -1,9 +1,10 @@
 """Immutable simple-graph values and the structural operations the rest of
 the package builds on: vertex/edge deletion, the edge-smoothing surgery,
-girth, cycle listing, cyclic edge connectivity, the refined vertex
-coloring, the vertex order every frontier DP places vertices in, and the
-frontier DP over 2-factors that gives the even-cover sum (covers.py), the
-orthogonality count (kempe.py) and the Hamiltonian cycle count.
+girth, cycle listing, the cycle-space edge labels and the cyclic edge
+connectivity read from them, the refined vertex coloring, the vertex
+order every frontier DP places vertices in, and the frontier DP over
+2-factors that gives the even-cover sum (covers.py), the orthogonality
+count (kempe.py) and the Hamiltonian cycle count.
 
 Both frontier DPs, the coloring kernel (coloring.py) and the 2-factor
 fold, pack a state into one int, a field per frontier_layout slot, and
@@ -655,93 +656,61 @@ def is_hamiltonian(g: Graph) -> bool:
 # -- cyclic edge connectivity ------------------------------------------
 
 
-def _violating_with_more(
-    adj: Sequence[tuple[tuple[int, int], ...]], removed: Sequence[bool], more: int
-) -> bool:
-    """Does removing the flagged edges S, plus at most ``more`` (1 or 2)
-    further edges, leave two components that each contain a cycle?
+def cycle_labels(g: Graph) -> tuple[tuple[int, ...], int]:
+    """(labels, components): a cycle-space label per edge index and the
+    number of connected components, from one spanning forest grown by a
+    graph search, computed once per graph value and stored on it as
+    ``_cycle_labels``.
 
-    One iterative DFS over G - S records each component's vertex and edge
-    counts, each DFS subtree's vertex and degree sums, and the cycle-space
-    label ``lab[v]`` of the tree edge into v: the XOR of the bits ``1 << f``
-    of the non-tree edges f with one end in v's subtree.  A bridge (label
-    0) or a cut pair (equal labels; see ``cyclically_edge_connected_at_least``)
-    cuts off a subtree, or a subtree minus a deeper one, whose vertex and
-    inner edge counts are differences of those sums.  A side keeps a cycle
-    when it has at least as many inner edges as vertices.
-    """
-    n = len(adj)
-    disc = [0] * n  # discovery time, 0 while unvisited
-    size = [1] * n  # vertices in the DFS subtree
-    deg = [0] * n  # degree sum over the DFS subtree
-    lab = [0] * n  # cycle-space label of the tree edge into each vertex
-    clock = 0
-    cyclic = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        first = clock + 1
-        clock = first
-        disc[root] = clock
-        bridges = []  # subtree roots hanging from a bridge
-        chains: dict[int, list[int]] = {}  # label -> tree edges, deepest first
-        # entries: vertex, the edge it was reached by, its adjacency iterator
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, via, rest = stack[-1]
-            for w, e in rest:
-                if removed[e]:
-                    continue
-                deg[v] += 1
-                if e == via:
-                    continue
-                if disc[w]:
-                    lab[v] ^= 1 << e
-                else:
-                    clock += 1
-                    disc[w] = clock
-                    stack.append((w, e, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    size[p] += size[v]
-                    deg[p] += deg[v]
-                    if lab[v]:
-                        lab[p] ^= lab[v]
-                        chains.setdefault(lab[v], []).append(v)
-                    else:
-                        bridges.append(v)
-        comp_v = clock - first + 1
-        comp_e = deg[root] // 2
-        if comp_e < comp_v:
-            continue
-        cyclic += 1
-        if cyclic >= 2:
-            return True
-
-        def splits(side_v: int, side_e: int, cut: int) -> bool:
-            # both the side and the rest of the component keep a cycle
-            return side_e >= side_v and comp_e - cut - side_e >= comp_v - side_v
-
-        for c in bridges:
-            # the bridge is the only edge leaving c's subtree
-            if splits(size[c], (deg[c] - 1) // 2, 1):
-                return True
-        if more == 1:
-            continue
-        for label, chain in chains.items():
-            # a one-bit label is also carried by that bit's non-tree edge
-            tree_and_back = not label & (label - 1)
-            # one root path, so each vertex is an ancestor of the earlier ones
-            for j, a in enumerate(chain):
-                if tree_and_back and splits(size[a], (deg[a] - 2) // 2, 2):
-                    return True
-                for b in chain[:j]:
-                    if splits(size[a] - size[b], (deg[a] - deg[b] - 2) // 2, 2):
-                        return True
-    return False
+    The k-th non-tree edge carries its own bit ``1 << k``, and a tree edge
+    the XOR of the bits of the non-tree edges with exactly one end in the
+    subtree below it.  An edge set is a cut, the edges leaving some vertex
+    set, exactly when it meets every cycle an even number of times; the
+    fundamental cycles of the non-tree edges span the cycle space, so
+    that parity check over them is enough, and it reads: the set's labels
+    XOR to 0.  So a bridge is an edge labelled 0, and G - e is connected
+    exactly when G is and e's label is not 0."""
+    stored = getattr(g, "_cycle_labels", None)
+    if stored is None:
+        n, edges = g.n, g.edges
+        seen = [False] * n
+        into = [-1] * n  # the tree edge into each vertex, -1 at a root
+        order: list[int] = []  # each vertex after its parent
+        parts = 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            parts += 1
+            seen[root] = True
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for w, i in zip(g._neighbors[u], g._incidence[u]):
+                    if not seen[w]:
+                        seen[w] = True
+                        into[w] = i
+                        stack.append(w)
+        tree = set(into)
+        labels = [0] * len(edges)
+        below = [0] * n  # XOR of the non-tree bits at each vertex, then its subtree
+        bit = 1
+        for i, (u, v) in enumerate(edges):
+            if i not in tree:
+                labels[i] = bit
+                below[u] ^= bit
+                below[v] ^= bit
+                bit <<= 1
+        # a non-tree edge with both ends in a subtree adds its bit twice
+        for v in reversed(order):
+            i = into[v]
+            if i >= 0:
+                labels[i] = below[v]
+                a, b = edges[i]
+                below[a + b - v] ^= below[v]
+        stored = (tuple(labels), parts)
+        object.__setattr__(g, "_cycle_labels", stored)
+    return stored
 
 
 def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
@@ -750,50 +719,37 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
 
     Defined for cubic graphs only.  By Lovasz's 1965 characterization the
     only simple cubic graphs without two vertex-disjoint cycles are K4 and
-    K3,3, where the question is undefined.  Candidate sets are restricted
-    to matchings: if S is a smallest violating set it is an edge cut
-    delta(A), and any vertex with two cut edges could be moved across the
-    cut to produce a strictly smaller violating set (its side keeps its
-    cycle, since at most one of the vertex's edges stays inside).  So some
-    smallest violating set has no two edges sharing a vertex.
+    K3,3, where the question is undefined.  A disconnected cubic graph
+    fails every level: each of its components holds a cycle.
 
-    Cut-pair lemma.  Fix a DFS forest of a graph H and label each edge by
-    the set of fundamental cycles through it: a non-tree edge by its own
-    cycle, a tree edge by the cycles of the non-tree edges leaving the
-    subtree below it.  An edge set F is an edge cut iff it meets every
-    cycle an even number of times; the cycle space is spanned by the
-    fundamental cycles, so that parity check over them is enough.  Hence
-    {x} is a cut (a bridge) iff x's label is empty, and two non-bridges
-    {x, y} form a cut iff their labels are equal: removing them splits
-    their component into exactly two parts.  DFS non-tree edges join a
-    vertex to an ancestor, so tree edges sharing a nonempty label lie on
-    one root path, and no two non-tree edges share one.  A cut pair of two
-    tree edges into a above b therefore cuts off subtree(a) - subtree(b),
-    and a tree edge into a paired with a non-tree edge cuts off subtree(a).
-    (Tarjan 1974 finds bridges by the same subtree bookkeeping.)
+    Matching-cut lemma.  A connected cubic graph has a violating set of at
+    most k edges iff some nonempty matching of at most k edges is a cut,
+    that is, its cycle_labels XOR to 0.  (=>) A smallest violating set is
+    an edge cut delta(A), nonempty as G is connected, and any vertex with
+    two cut edges could be moved across the cut to produce a strictly
+    smaller violating set (its side keeps its cycle, since at most one of
+    the vertex's edges stays inside).  So it is a matching.  (<=) Let a
+    matching M be the cut delta(A).  Every edge leaving a component C of
+    G[A] lies in M, and M takes at most one edge from each vertex, so
+    every vertex of C keeps two edges inside C, and C holds a cycle; so
+    does each component of the other side, and removing M separates them.
 
-    Completeness.  Let T be a smallest violating matching, |T| <= n-1, and
-    S any |T|-2 of its edges (S empty when |T| <= 2): a matching of at most
-    n-3 edges, so the enumeration visits it.  If T is empty, G has two
-    cyclic components.  Otherwise G - S has exactly one cyclic component C
-    (T is smallest), which holds both cycles of G - T, so the last edges
-    R = T - S lie in C (an edge outside C could be kept).  If R = {x}, x is
-    a bridge of C with a cycle on each side.  If R = {x, y} and x is a
-    bridge of C, then either y is a bridge too, and of the three parts of
-    C - x - y, joined in a path, one bridge alone separates two cyclic
-    ones, or y lies on a cycle of C - x and x alone separates the two
-    cycles; both contradict the choice of T.  So x and y are non-bridges
-    that disconnect C: a cut pair of C with a cycle on each side.
-    ``_violating_with_more`` finds such a last bridge or cut pair in one DFS
-    per enumerated matching; at level 2 only the empty matching is
-    enumerated and the last edge is a bridge.
+    Search.  Cuts of one edge (label 0) and of two disjoint edges (equal
+    labels), all of levels 2 and 3, are read from a label -> edges index.
+    At level 4 and up,
+    matchings S grow in increasing edge order, and each S is closed by
+    one or two more edges above its last one, disjoint from S and from
+    each other, found by index lookups: an edge labelled XOR(S), or an
+    edge f and an edge labelled XOR(S) ^ label(f).  A violating matching,
+    sorted by index, is found at the S of all but its last two edges.
 
-    Orbit pruning.  The DFS judges S and its image under an automorphism
-    alike, so the least edge of S ranges over orbit minima only
-    (isomorphism.edge_orbits).  Let r be the least orbit minimum among S's
-    edges, at s: an automorphism taking s to r takes every other edge of S
-    into an orbit with minimum at least r, onto an edge other than r, so
-    above r, and the image of S is enumerated with r first.
+    Orbit pruning.  An automorphism maps matching cuts to matching cuts,
+    so the least edge of S ranges over orbit minima only
+    (isomorphism.edge_orbits).  Let r be the least orbit minimum among a
+    violating matching's edges, at s: an automorphism taking s to r takes
+    every other edge of the matching into an orbit with minimum at least
+    r, onto an edge other than r, so above r, and the image is enumerated
+    with r first.
     """
     if n < 2:
         raise DomainError("connectivity level must be at least 2")
@@ -803,33 +759,53 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
         raise CyclicConnectivityUndefinedError(
             "graph has no pair of disjoint cycles"
         )
-    # neighbors and incident edges are built in step, so they pair up
-    adj = [tuple(zip(g.neighbors(x), g.incident_edges(x))) for x in range(g.n)]
-    removed = [False] * g.m
-    used = [False] * g.n
-    more = 1 if n == 2 else 2
+    labels, parts = cycle_labels(g)
+    if parts > 1:
+        return False
+    edges, m = g.edges, g.m
+    index: dict[int, list[int]] = {}  # label -> edges, in increasing order
+    for i, label in enumerate(labels):
+        index.setdefault(label, []).append(i)
+    used = [False] * g.n  # the ends of S's edges
 
-    def rec(choices: Iterable[int], room: int) -> bool:
-        if _violating_with_more(adj, removed, more):
+    def closes(last: int, want: int, two: bool) -> bool:
+        # an edge above last, free of S, labelled want, or (two) a
+        # disjoint pair of such edges whose labels XOR to want
+        for i in index.get(want, ()):
+            u, v = edges[i]
+            if i > last and not used[u] and not used[v]:
+                return True
+        if two:
+            for i in range(last + 1, m):
+                u, v = edges[i]
+                if used[u] or used[v]:
+                    continue
+                for j in index.get(want ^ labels[i], ()):
+                    a, b = edges[j]
+                    if (j > i and not used[a] and not used[b]
+                            and a != u and a != v and b != u and b != v):
+                        return True
+        return False
+
+    def grows(choices: Iterable[int], last: int, want: int, room: int) -> bool:
+        if closes(last, want, room > 1):
             return True
-        if room == 0:
+        if room < 3:
             return False
         for i in choices:
-            u, v = g.edges[i]
+            u, v = edges[i]
             if used[u] or used[v]:
                 continue
-            removed[i] = True
             used[u] = used[v] = True
-            hit = rec(range(i + 1, g.m), room - 1)
-            removed[i] = False
+            hit = grows(range(i + 1, m), i, want ^ labels[i], room - 1)
             used[u] = used[v] = False
             if hit:
                 return True
         return False
 
-    # the least removed edge is an orbit minimum (a function-level import:
+    # the least edge of S is an orbit minimum (a function-level import:
     # isomorphism imports this module)
     from .isomorphism import edge_orbits
 
     reps = [orbit[0] for orbit in edge_orbits(g)] if n > 3 else ()
-    return not rec(reps, n - 1 - more)
+    return not grows(reps, -1, 0, n - 1)

@@ -13,12 +13,21 @@ set_field = object.__setattr__
 class Value:
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
+        cls._field_names = frozenset(cls._fields)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         cls._field_values = attrgetter(*cls._fields)  # a tuple, as every class has 2+ fields
         cls._where = f"{cls.__qualname__}.__init__()"
 
     def __init__(self, *args, **kwargs):
-        fields, n, where = self._fields, len(args), self._where
+        fields = self._fields
+        if not args and kwargs.keys() <= self._field_names:
+            # keywords only, all known: set them once every field has one
+            values = {**self._defaults, **kwargs}
+            if len(values) == len(fields):
+                for f in fields:
+                    set_field(self, f, values[f])
+                return
+        n, where = len(args), self._where
         for key in kwargs:
             if key not in fields or fields.index(key) < n:
                 got = "multiple values for argument" if key in fields else "an unexpected keyword argument"

@@ -5,10 +5,15 @@ from one-factorization counting (cubic) or naive index-order backtracking
 (small quasi-cubic), two-factors come from perfect-matching complements,
 even-cycle covers are listed by path search (the package sums 2^cycles
 over them with its frontier DP over 2-factors and never lists them),
-cut checks enumerate every subset, every matching with one
-union-find pass each, or every matching one edge smaller with one
-bridge-finding DFS each (the package enumerates two edges fewer and finds
-the last two as a bridge or a cut pair), and Hamiltonian cycles come from
+cyclic connectivity checks enumerate every subset, every matching with
+one union-find pass each, or every matching one edge smaller with one
+bridge-finding DFS each (the package reads a violating set as a matching
+whose stored cycle-space labels XOR to 0 and finds its last two edges by
+label lookups).  An edge set is a cut when one union-find pass with
+parities puts the ends of each kept edge on one side and those of each
+removed edge on opposite sides (the package XORs the edges' labels), and
+G - e is connected when a search of G - e from an end of e reaches every
+vertex (the package reads e's label).  Hamiltonian cycles come from
 path backtracking or from every vertex ordering (the package counts them
 with its frontier DP over 2-factors).  Orthogonality has two routes: the
 package's former decision by walking one coloring per decomposition
@@ -432,6 +437,57 @@ def cyclic_connectivity_violated_by_bridges(g: Graph, max_cut: int) -> bool:
         return False
 
     return rec(0, max_cut - 1)
+
+
+def is_cut_by_union_find(g: Graph, subset: Iterable[int]) -> bool:
+    """Is the edge set the cut of some vertex set, every edge with one end
+    in it?  One union-find pass with parities: a kept edge puts its ends
+    on one side, an edge of the set on opposite sides, and an edge that
+    closes a cycle of the wrong parity shows that no vertex set fits."""
+    parent = list(range(g.n))
+    flip = [0] * g.n  # side relative to the parent
+
+    def find(x: int) -> tuple[int, int]:
+        side = 0
+        while parent[x] != x:
+            side ^= flip[x]
+            x = parent[x]
+        return x, side
+
+    chosen = set(subset)
+    for i, (u, v) in enumerate(g.edges):
+        (ru, su), (rv, sv) = find(u), find(v)
+        apart = int(i in chosen)
+        if ru == rv:
+            if su ^ sv != apart:
+                return False
+        else:
+            parent[ru] = rv
+            flip[ru] = su ^ sv ^ apart
+    return True
+
+
+def smoothable_by_search(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
+    """The index of each given edge in turn, with the DomainError the
+    smoothed route raises at the first edge where it fails: the surgery's
+    conditions on the host, raised by the surgery itself at the first
+    edge, then one graph search of g without e from an end of e, which
+    must reach every vertex."""
+    for k, e in enumerate(edges):
+        ref = resolve_edge(g, e)
+        if not k:
+            contract_removed_edge(g, ref)
+        u, v = ref.pair
+        seen, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for y in g.neighbors(x):
+                if y not in seen and {x, y} != {u, v}:
+                    seen.add(y)
+                    todo.append(y)
+        if len(seen) < g.n:
+            raise DomainError("graph must be connected")
+        yield ref.index
 
 
 def hamiltonian_by_backtracking(g: Graph) -> bool:

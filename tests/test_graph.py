@@ -14,6 +14,7 @@ from oracles import (
     hamiltonian_by_cycle_enumeration,
     hamiltonian_cycles_by_permutations,
     has_two_disjoint_cycles_by_enumeration,
+    is_cut_by_union_find,
     order_cost,
     to_nx,
 )
@@ -32,6 +33,7 @@ from snarkforge.graph import (
     Cycle,
     Graph,
     contract_removed_edge,
+    cycle_labels,
     cyclically_edge_connected_at_least,
     delete_edges,
     delete_vertices,
@@ -525,6 +527,32 @@ def test_cut_pairs_match_bridge_search_on_planted_cuts(g):
         assert violated == cyclic_connectivity_violated_by_bridges(g, level - 1), level
         if g.n <= 24 and level <= 5:
             assert violated == cyclic_connectivity_violated_by_matchings(g, level - 1), level
+
+
+@st.composite
+def any_graphs(draw) -> Graph:
+    """A random cubic graph or union of two, or a random simple graph of
+    1..12 vertices, connected or not."""
+    if draw(st.booleans()):
+        return draw(cubic_graphs(16))
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(any_graphs(), st.data())
+def test_cycle_labels_xor_to_zero_exactly_on_cuts(g, data):
+    labels, parts = cycle_labels(g)
+    assert parts == nx.number_connected_components(to_nx(g))
+    side = data.draw(st.sets(st.sampled_from(range(g.n))))
+    cut = [i for i, (u, v) in enumerate(g.edges) if (u in side) != (v in side)]
+    subset = data.draw(st.sets(st.sampled_from(range(g.m)))) if g.m else set()
+    for edges in (cut, subset):
+        xor = 0
+        for i in edges:
+            xor ^= labels[i]
+        assert (xor == 0) == is_cut_by_union_find(g, edges), sorted(edges)
 
 
 CONNECTIVITY_PINS = (

@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import smoothed_decomposition_count
+from oracles import smoothable_by_search, smoothed_decomposition_count
 from strategies import moebius_ladder, prism_graph
 from snarkforge import analyze, coloring, graph, ledger
 from snarkforge.analyze import certify_snark
@@ -139,6 +139,70 @@ def test_random_hosts_count_their_colorings_both_ways(g, seed):
     rng = random.Random(seed)
     subset = rng.sample(range(g.m), rng.randint(1, g.m))
     assert coloring._psi_pass(g, subset)[1] == count_colorings(g)
+
+
+def girth4_cubic_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """The edges of the first connected random cubic graph of order n and
+    girth at least 4 that rng's seeds give."""
+    while True:
+        pairs = sorted(nx.random_regular_graph(3, n, seed=rng.randrange(2**32)).edges())
+        g = Graph.from_edges(n, pairs)
+        if g.is_connected() and girth(g) >= 4:
+            return pairs
+
+
+@st.composite
+def broken_hosts(draw) -> Graph:
+    """Two random connected cubic graphs of girth at least 4, side by side
+    or bridged: an edge of each subdivided by a new vertex, and the two
+    new vertices joined.  Relabeled at random, so the first edge that
+    fails may come anywhere in a given order."""
+    rng = random.Random(draw(seeds))
+    bridged = draw(st.booleans())
+    pairs: list[tuple[int, int]] = []
+    middles: list[int] = []
+    n = 0
+    for _ in range(2):
+        order = rng.choice(range(6, 15, 2))
+        side = [(u + n, v + n) for u, v in girth4_cubic_pairs(rng, order)]
+        n += order
+        if bridged:
+            x, y = side.pop(rng.randrange(len(side)))
+            side += [(x, n), (n, y)]
+            middles.append(n)
+            n += 1
+        pairs += side
+    if bridged:
+        pairs.append((middles[0], middles[1]))
+    names = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(names[u], names[v]) for u, v in pairs])
+
+
+@SETTINGS
+@given(broken_hosts(), seeds)
+def test_smoothing_checks_fail_where_the_search_oracle_does(g, seed):
+    # the stored labels against one search of G - e per edge: psi_counts
+    # raises at the first edge the search fails, with its text, and a
+    # search of the host truncates at the first such representative
+    edges = random.Random(seed).sample(range(g.m), g.m)
+    passed: list[int] = []
+    with pytest.raises(DomainError) as expected:
+        passed.extend(smoothable_by_search(g, edges))
+    k = len(passed)
+    assert list(psi_counts(g, edges[:k])) == passed
+    with pytest.raises(DomainError) as batch:
+        psi_counts(g, edges[:k + 1])
+    assert str(batch.value) == str(expected.value)
+    if g.is_connected():
+        text = f"(graph6 {encode_graph6(g)})"
+        reps: list[int] = []
+        with pytest.raises(DomainError) as first:
+            reps.extend(smoothable_by_search(g, (orbit[0] for orbit in edge_orbits(g))))
+        answers = [
+            e.edge_index if isinstance(e, PsiRecord) else e.reason
+            for e in evaluate_recipe_records(text)
+        ]
+        assert answers == reps + [f"psi: {first.value}"]
 
 
 def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
