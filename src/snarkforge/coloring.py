@@ -39,9 +39,8 @@ from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
     Graph,
-    _require_smoothable,
+    _smoothable,
     contract_removed_edge,
-    cycle_labels,
     frontier_layout,
     frontier_order,
     frontier_step,
@@ -109,6 +108,12 @@ def _check_colorable_shape(g: Graph):
         raise DomainError("edge-3-coloring needs maximum valence 3")
     if not g.is_connected():
         raise DomainError("graph must be connected")
+
+
+def _check_decomposable(g: Graph):
+    _check_colorable_shape(g)
+    if not is_quasi_cubic(g):
+        raise DomainError("decomposition counting is defined for quasi-cubic graphs")
 
 
 _Table = dict[int, tuple[int, ...]]
@@ -273,9 +278,7 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     permutation from where it starts rather than all six until it reaches
     the pivot.
     """
-    _check_colorable_shape(g)
-    if not is_quasi_cubic(g):
-        raise DomainError("decomposition counting is defined for quasi-cubic graphs")
+    _check_decomposable(g)
     pins = _decomposition_fixing(g, frontier_order(g))
     return _count_frontier(g, pins, node_budget)
 
@@ -290,9 +293,7 @@ def count_same_class(g: Graph, edges: Iterable[EdgeLike]) -> int:
     and color_pair_counts', so a class count is its own count rather than
     a sum or quotient of the others.
     """
-    _check_colorable_shape(g)
-    if not is_quasi_cubic(g):
-        raise DomainError("decomposition counting is defined for quasi-cubic graphs")
+    _check_decomposable(g)
     indexes = [resolve_edge(g, e).index for e in edges]
     if not indexes:
         raise DomainError("a class count needs at least one edge")
@@ -313,9 +314,7 @@ def enumerate_decompositions(g: Graph) -> Iterator[EdgeColoring]:
     which coloring represents a decomposition depends on the graph value
     alone, never on the frontier order searched for it or inherited from
     a host."""
-    _check_colorable_shape(g)
-    if not is_quasi_cubic(g):
-        raise DomainError("decomposition counting is defined for quasi-cubic graphs")
+    _check_decomposable(g)
     for assign in _search_colorings(g, _decomposition_fixing(g, range(g.n))):
         yield EdgeColoring(g, assign)
 
@@ -411,24 +410,6 @@ def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
     budget and certifies the host with its coloring count."""
     indexes = list(_smoothable(g, edges))
     return _psi_pass(g, indexes)[0] if indexes else {}
-
-
-def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
-    """The index of each given edge in turn, once the smoothed route's
-    preconditions hold there, checked with their DomainError texts but
-    without smoothing: contract_removed_edge's conditions on the host,
-    checked at the first edge, where smoothing would fail them first,
-    and count_decompositions' connectivity, which the smoothed graph has
-    exactly when g without e has it: g is connected and e's cycle_labels
-    label is not 0."""
-    for k, e in enumerate(edges):
-        ref = resolve_edge(g, e)
-        if not k:
-            _require_smoothable(g)
-            labels, parts = cycle_labels(g)
-        if parts > 1 or not labels[ref.index]:
-            raise DomainError("graph must be connected")
-        yield ref.index
 
 
 def _psi_pass(

@@ -1,8 +1,9 @@
 """Immutable simple-graph values and the structural operations the rest of
 the package builds on: vertex/edge deletion, the edge-smoothing surgery,
-girth, cycle listing, the cycle-space edge labels and the cyclic edge
-connectivity read from them, the refined vertex coloring, the vertex
-order every frontier DP places vertices in, and the frontier DP over
+girth, cycle listing, one spanning forest per graph value and what is
+read from it (components, the smoothing check, the cycle-space edge
+labels and cyclic edge connectivity), the refined vertex coloring, the
+vertex order every frontier DP places vertices in, and the frontier DP over
 2-factors that gives the even-cover sum (covers.py), the orthogonality
 count (kempe.py) and the Hamiltonian cycle count.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CyclicConnectivityUndefinedError, DomainError
 from .value import Value, set_field
@@ -109,27 +110,15 @@ class Graph(Value):
         return EdgeRef(i, self.edges[i])
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists."""
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self._neighbors[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
+        """Connected components as sorted vertex lists, least vertex first,
+        grouped by the root spanning_forest gives each vertex."""
+        out: dict[int, list[int]] = {}
+        for v, root in enumerate(spanning_forest(self)[0]):
+            out.setdefault(root, []).append(v)
+        return list(out.values())
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return not any(spanning_forest(self)[0])
 
 
 class EdgeRef(Value):
@@ -262,6 +251,24 @@ def _require_smoothable(g: Graph) -> None:
     nbr = [frozenset(g.neighbors(x)) for x in range(g.n)]
     if any(nbr[a] & nbr[b] for a, b in g.edges):
         raise DomainError("edge smoothing requires girth at least 4")
+
+
+def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
+    """The index of each given edge in turn, once the smoothed route's
+    preconditions hold there, checked with their DomainError texts but
+    without smoothing: contract_removed_edge's conditions on the host,
+    checked at the first edge, where smoothing would fail them first,
+    and count_decompositions' connectivity, which the smoothed graph has
+    exactly when g without e has it: g is connected and e's cycle_labels
+    label is not 0."""
+    for k, e in enumerate(edges):
+        ref = resolve_edge(g, e)
+        if not k:
+            _require_smoothable(g)
+            split, labels = not g.is_connected(), cycle_labels(g)
+        if split or not labels[ref.index]:
+            raise DomainError("graph must be connected")
+        yield ref.index
 
 
 def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRef]:
@@ -653,14 +660,45 @@ def is_hamiltonian(g: Graph) -> bool:
     return g.n >= 3 and hamiltonian_cycle_count(g) > 0
 
 
-# -- cyclic edge connectivity ------------------------------------------
+# -- the spanning forest and cyclic edge connectivity -----------------
 
 
-def cycle_labels(g: Graph) -> tuple[tuple[int, ...], int]:
-    """(labels, components): a cycle-space label per edge index and the
-    number of connected components, from one spanning forest grown by a
-    graph search, computed once per graph value and stored on it as
-    ``_cycle_labels``.
+def spanning_forest(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(roots, up, order): one spanning forest, grown by a graph search
+    from each least vertex not yet reached, computed once per graph value
+    and stored on it as ``_spanning_forest``.  roots[v] is the least
+    vertex of v's component, so g is connected exactly when every root
+    is 0 and Graph.components groups the vertices by root; up[v] is v's
+    parent, -1 at a root, and order lists each vertex after its parent.
+    cycle_labels reads its labels off the same forest, so a graph value
+    asked only whether it is connected never computes them."""
+    stored = getattr(g, "_spanning_forest", None)
+    if stored is None:
+        n = g.n
+        roots = [-1] * n  # -1 until reached
+        up = [-1] * n
+        order: list[int] = []
+        for root in range(n):
+            if roots[root] >= 0:
+                continue
+            roots[root] = root
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for w in g._neighbors[u]:
+                    if roots[w] < 0:
+                        roots[w] = root
+                        up[w] = u
+                        stack.append(w)
+        stored = (tuple(roots), tuple(up), tuple(order))
+        object.__setattr__(g, "_spanning_forest", stored)
+    return stored
+
+
+def cycle_labels(g: Graph) -> tuple[int, ...]:
+    """A cycle-space label per edge index, read off spanning_forest,
+    computed once per graph value and stored on it as ``_cycle_labels``.
 
     The k-th non-tree edge carries its own bit ``1 << k``, and a tree edge
     the XOR of the bits of the non-tree edges with exactly one end in the
@@ -672,28 +710,13 @@ def cycle_labels(g: Graph) -> tuple[tuple[int, ...], int]:
     exactly when G is and e's label is not 0."""
     stored = getattr(g, "_cycle_labels", None)
     if stored is None:
-        n, edges = g.n, g.edges
-        seen = [False] * n
-        into = [-1] * n  # the tree edge into each vertex, -1 at a root
-        order: list[int] = []  # each vertex after its parent
-        parts = 0
-        for root in range(n):
-            if seen[root]:
-                continue
-            parts += 1
-            seen[root] = True
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                for w, i in zip(g._neighbors[u], g._incidence[u]):
-                    if not seen[w]:
-                        seen[w] = True
-                        into[w] = i
-                        stack.append(w)
-        tree = set(into)
+        _roots, up, order = spanning_forest(g)
+        edges, index = g.edges, g._index
+        # the tree edge into each vertex but a root
+        into = {v: index[(p, v) if p < v else (v, p)] for v, p in enumerate(up) if p >= 0}
+        tree = set(into.values())
         labels = [0] * len(edges)
-        below = [0] * n  # XOR of the non-tree bits at each vertex, then its subtree
+        below = [0] * g.n  # XOR of the non-tree bits at each vertex, then its subtree
         bit = 1
         for i, (u, v) in enumerate(edges):
             if i not in tree:
@@ -703,12 +726,11 @@ def cycle_labels(g: Graph) -> tuple[tuple[int, ...], int]:
                 bit <<= 1
         # a non-tree edge with both ends in a subtree adds its bit twice
         for v in reversed(order):
-            i = into[v]
-            if i >= 0:
-                labels[i] = below[v]
-                a, b = edges[i]
-                below[a + b - v] ^= below[v]
-        stored = (tuple(labels), parts)
+            p = up[v]
+            if p >= 0:
+                labels[into[v]] = below[v]
+                below[p] ^= below[v]
+        stored = tuple(labels)
         object.__setattr__(g, "_cycle_labels", stored)
     return stored
 
@@ -734,14 +756,23 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     every vertex of C keeps two edges inside C, and C holds a cycle; so
     does each component of the other side, and removing M separates them.
 
-    Search.  Cuts of one edge (label 0) and of two disjoint edges (equal
-    labels), all of levels 2 and 3, are read from a label -> edges index.
-    At level 4 and up,
-    matchings S grow in increasing edge order, and each S is closed by
-    one or two more edges above its last one, disjoint from S and from
-    each other, found by index lookups: an edge labelled XOR(S), or an
-    edge f and an edge labelled XOR(S) ^ label(f).  A violating matching,
-    sorted by index, is found at the S of all but its last two edges.
+    Search.  A bridge (label 0) is a violating set of one edge.  Larger
+    violating matchings are found by growing matchings S in increasing
+    edge order from the empty one, each closed by an edge f above its
+    last one and free of S and an edge f' above f labelled XOR(S) ^
+    label(f), found by one lookup of the greatest edge in a label ->
+    edges index.  A violating matching, sorted by index, is found at the
+    S of all but its last two edges, so the empty S finds the cuts of two
+    edges (equal labels).
+
+    Closing lemma.  An edge set T whose labels XOR to 0 and whose edges
+    but the last form a matching is violating; so is every set the
+    search finds, though f' may meet S or f.  T = delta(A) with A and its
+    complement nonempty.  A vertex meets at most two edges of T, and each
+    side holds at most one that meets two, an end of the last edge.  A
+    component of either side that is a tree of t vertices sends t + 2
+    edges into T, which needs a vertex meeting three (t = 1) or two
+    vertices meeting two (t >= 2).  So every component holds a cycle.
 
     Orbit pruning.  An automorphism maps matching cuts to matching cuts,
     so the least edge of S ranges over orbit minima only
@@ -759,37 +790,21 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
         raise CyclicConnectivityUndefinedError(
             "graph has no pair of disjoint cycles"
         )
-    labels, parts = cycle_labels(g)
-    if parts > 1:
+    labels = cycle_labels(g)
+    if not g.is_connected() or 0 in labels:  # or a bridge
         return False
     edges, m = g.edges, g.m
     index: dict[int, list[int]] = {}  # label -> edges, in increasing order
     for i, label in enumerate(labels):
         index.setdefault(label, []).append(i)
+    none = (-1,)  # the lookup default, shared rather than built per lookup
     used = [False] * g.n  # the ends of S's edges
 
-    def closes(last: int, want: int, two: bool) -> bool:
-        # an edge above last, free of S, labelled want, or (two) a
-        # disjoint pair of such edges whose labels XOR to want
-        for i in index.get(want, ()):
-            u, v = edges[i]
-            if i > last and not used[u] and not used[v]:
-                return True
-        if two:
-            for i in range(last + 1, m):
-                u, v = edges[i]
-                if used[u] or used[v]:
-                    continue
-                for j in index.get(want ^ labels[i], ()):
-                    a, b = edges[j]
-                    if (j > i and not used[a] and not used[b]
-                            and a != u and a != v and b != u and b != v):
-                        return True
-        return False
-
     def grows(choices: Iterable[int], last: int, want: int, room: int) -> bool:
-        if closes(last, want, room > 1):
-            return True
+        for i in range(last + 1, m):
+            u, v = edges[i]
+            if not used[u] and not used[v] and index.get(want ^ labels[i], none)[-1] > i:
+                return True
         if room < 3:
             return False
         for i in choices:
@@ -808,4 +823,4 @@ def cyclically_edge_connected_at_least(g: Graph, n: int) -> bool:
     from .isomorphism import edge_orbits
 
     reps = [orbit[0] for orbit in edge_orbits(g)] if n > 3 else ()
-    return not grows(reps, -1, 0, n - 1)
+    return n < 3 or not grows(reps, -1, 0, n - 1)

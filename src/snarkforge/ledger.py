@@ -24,9 +24,9 @@ from typing import Iterable, Iterator, Optional, get_type_hints
 from . import __version__
 from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .errors import Graph6ParseError, LedgerIntegrityError
-from .graph import Graph, list_pentagons
+from .graph import Graph, _smoothable, list_pentagons
 from .graph6 import decode_graph6, encode_graph6, graph6_order
-from .coloring import _psi_pass, _smoothable, psi_from_count, psi_with_counts
+from .coloring import _psi_pass, psi_from_count, psi_with_counts
 from .isomorphism import edge_orbits
 from .analyze import SnarkCertificate, _snark_clauses
 from .recipe import evaluate_text, format_recipe, parse_recipe

@@ -8,8 +8,8 @@ over them with its frontier DP over 2-factors and never lists them),
 cyclic connectivity checks enumerate every subset, every matching with
 one union-find pass each, or every matching one edge smaller with one
 bridge-finding DFS each (the package reads a violating set as a matching
-whose stored cycle-space labels XOR to 0 and finds its last two edges by
-label lookups).  An edge set is a cut when one union-find pass with
+whose stored cycle-space labels XOR to 0 and finds its last edge by a
+label lookup).  An edge set is a cut when one union-find pass with
 parities puts the ends of each kept edge on one side and those of each
 removed edge on opposite sides (the package XORs the edges' labels), and
 G - e is connected when a search of G - e from an end of e reaches every

@@ -47,6 +47,7 @@ from snarkforge.graph import (
     is_quasi_cubic,
     list_pentagons,
     pendant_edges,
+    spanning_forest,
     two_factor_fold,
     univalent_vertices,
     valence_profile,
@@ -543,8 +544,12 @@ def any_graphs(draw) -> Graph:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(any_graphs(), st.data())
 def test_cycle_labels_xor_to_zero_exactly_on_cuts(g, data):
-    labels, parts = cycle_labels(g)
-    assert parts == nx.number_connected_components(to_nx(g))
+    labels, roots = cycle_labels(g), spanning_forest(g)[0]
+    parts = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
+    assert len(set(roots)) == len(parts)
+    assert all(roots[v] == part[0] for part in parts for v in part)
+    assert g.components() == parts
+    assert g.is_connected() == (len(parts) == 1)
     side = data.draw(st.sets(st.sampled_from(range(g.n))))
     cut = [i for i, (u, v) in enumerate(g.edges) if (u in side) != (v in side)]
     subset = data.draw(st.sets(st.sampled_from(range(g.m)))) if g.m else set()
@@ -553,6 +558,48 @@ def test_cycle_labels_xor_to_zero_exactly_on_cuts(g, data):
         for i in edges:
             xor ^= labels[i]
         assert (xor == 0) == is_cut_by_union_find(g, edges), sorted(edges)
+
+
+def violating_by_nx(g: Graph, cut: list[int]) -> bool:
+    """G minus the edges has two or more components, each holding a cycle."""
+    G = to_nx(g)
+    G.remove_edges_from(g.edges[i] for i in cut)
+    parts = list(nx.connected_components(G))
+    return len(parts) > 1 and all(G.subgraph(p).number_of_edges() >= len(p) for p in parts)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(cubic_graphs(16), planted_cut_graphs(8)), st.data())
+def test_closing_lemma(g, data):
+    """cyclically_edge_connected_at_least's closing lemma: an edge set
+    whose labels XOR to 0 and whose edges but the last form a matching is
+    violating.  The sets are drawn as the search grows and closes them: a
+    matching of up to three edges in increasing order, and at each of its
+    prefixes S, every edge f above S labelled XOR(S), and every f above S
+    and free of S with each f' above f that the label index gives, f or
+    f' free to meet S or f."""
+    labels = cycle_labels(g)
+    index: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        index.setdefault(label, []).append(i)
+    drawn = data.draw(st.sets(st.sampled_from(range(g.m)), max_size=3))
+    S: list[int] = []
+    ends: set[int] = set()
+    want, last = 0, -1
+    for grow in sorted(drawn) + [None]:
+        for f in index.get(want, ()):
+            if f > last:
+                assert violating_by_nx(g, S + [f]), S + [f]
+        for f in range(last + 1, g.m):
+            if not ends & set(g.edges[f]):
+                for h in index.get(want ^ labels[f], ()):
+                    if h > f:
+                        assert violating_by_nx(g, S + [f, h]), S + [f, h]
+        if grow is None or ends & set(g.edges[grow]):
+            break
+        S.append(grow)
+        ends.update(g.edges[grow])
+        want, last = want ^ labels[grow], grow
 
 
 CONNECTIVITY_PINS = (

@@ -2,10 +2,11 @@
 graph.contract_removed_edge alone, the verifiers smooth through that
 public call, the frontier DPs read their slots through
 graph.frontier_layout, every caller reads the refined vertex coloring
-through graph.refined_coloring, the cycle-space labels through
-graph.cycle_labels and edge orbits through isomorphism.edge_orbits.
-Read the package with ast so that no other module reads or writes
-graph.py's stored order, layout, coloring or labels or isomorphism.py's
+through graph.refined_coloring, the spanning forest through
+graph.spanning_forest, the cycle-space labels through graph.cycle_labels
+and edge orbits through isomorphism.edge_orbits.  Read the package with
+ast so that no other module reads or writes graph.py's stored order,
+layout, coloring, forest or labels or isomorphism.py's
 stored orbits, no other module names graph._invariants,
 so the refined coloring stays the one vertex invariant, and analyze.py
 imports no private name from coloring."""
@@ -19,6 +20,7 @@ STORED = {
     "_frontier_layout": "graph.py",
     "_refined_coloring": "graph.py",
     "_cycle_labels": "graph.py",
+    "_spanning_forest": "graph.py",
     "_invariants": "graph.py",
     "_edge_orbits": "isomorphism.py",
 }
