@@ -33,7 +33,7 @@ from .coloring import (
     psi_counts,
     psi_from_count,
 )
-from .construct import JoinResult, pentagon_join, remove_pentagon, superpose_52
+from .construct import pentagon_join, remove_pentagon, superpose_52
 from .covers import _cover_sum_side
 from .kempe import cocyclic_factor_count, color_pair_counts
 from .klein import COLORS
@@ -252,9 +252,8 @@ def verify_thm_4_5(g: Graph, p: Cycle) -> TheoremReport:
     )
 
 
-def _eligible_edges(res: JoinResult, factor: Graph, block: str) -> list[tuple[int, int]]:
-    """Factor edges that survive into the combined graph's given block."""
-    vmap = res.star_map if block == "star" else res.prime_map
+def _eligible_edges(factor: Graph, vmap: dict[int, int]) -> list[tuple[int, int]]:
+    """Factor edges that survive into the block ``vmap`` labels."""
     return [(a, b) for a, b in factor.edges if a in vmap and b in vmap]
 
 
@@ -267,8 +266,8 @@ def verify_thm_4_8(
     edges are measured but not asserted."""
     res = pentagon_join(gp, pp, gs, ps, rotation)
     big = res.graph
-    star = _eligible_edges(res, gs, "star")
-    prime = _eligible_edges(res, gp, "prime")
+    star = _eligible_edges(gs, res.star_map)
+    prime = _eligible_edges(gp, res.prime_map)
     # each graph's psis from one pass: the pentagon edge first
     psi_ps, *star_psis = _psis(gs, [ps.edge_pairs()[0]] + star)
     psi_pp, *prime_psis = _psis(gp, [pp.edge_pairs()[0]] + prime)
@@ -308,7 +307,7 @@ def verify_thm_5_3(
     res = superpose_52(gp, ref, gs, u, v)
     big = res.graph
     psi_e = psi(gp, ref)
-    pairs = _eligible_edges(res, gs, "star")
+    pairs = _eligible_edges(gs, res.star_map)
     mapped = [res.map_star_edge(gs, pair).index for pair in pairs]
     big_counts = psi_counts(big, mapped)
     ok = True

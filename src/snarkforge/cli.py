@@ -61,12 +61,13 @@ def _emit(args, human: str, payload: dict) -> None:
 
 
 def cmd_build(args) -> int:
-    g = evaluate_text(args.recipe)
+    recipe = parse_recipe(args.recipe)
+    g = evaluate(recipe)
     if args.dot:
         print(to_dot(g), end="")
         return PASS
     payload = {
-        "recipe": format_recipe(parse_recipe(args.recipe)),
+        "recipe": format_recipe(recipe),
         "vertices": g.n,
         "edges": g.m,
         "graph6": encode_graph6(g),
@@ -85,15 +86,7 @@ def cmd_build(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_graph(args)
     cert = certify_snark(g, args.level)
-    payload = {
-        "girth": cert.girth,
-        "girth_ok": cert.girth_ok,
-        "connectivity_level": cert.connectivity_level,
-        "connectivity_ok": cert.connectivity_ok,
-        "coloring_count": cert.coloring_count,
-        "passed": cert.passed,
-    }
-    _emit(args, f"certificate: {cert.summary()}", payload)
+    _emit(args, f"certificate: {cert.summary()}", {**vars(cert), "passed": cert.passed})
     return PASS if cert.passed else FAIL
 
 

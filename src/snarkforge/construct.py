@@ -129,6 +129,24 @@ class JoinResult(Value):
         return self.graph.edge_ref(self.graph.edge_index(vmap[a], vmap[b]))
 
 
+def _splice(gp: Graph, drop_p, gs: Graph, drop_s, fresh: int, wire) -> JoinResult:
+    """The block-offset labeling every two-factor construction shares:
+    gp less ``drop_p`` keeps its deletion-mapped labels, gs less
+    ``drop_s`` follows as the second block, and ``fresh`` new vertices
+    come last.  ``wire(prime_map, star_map, new_vertices)`` returns the
+    connecting edges in those labels."""
+    gp0, prime_map = delete_vertices(gp, drop_p)
+    gs0, map_s = delete_vertices(gs, drop_s)
+    off = gp0.n
+    star_map = {old: off + new for old, new in map_s.items()}
+    new = tuple(range(off + gs0.n, off + gs0.n + fresh))
+    joins = wire(prime_map, star_map, new)
+    edges = [*gp0.edges, *((off + a, off + b) for a, b in gs0.edges), *joins]
+    graph = Graph.from_edges(off + gs0.n + fresh, edges)
+    conn = tuple(sorted(graph.edge_index(a, b) for a, b in joins))
+    return JoinResult(graph, prime_map, star_map, conn, new)
+
+
 def _outer_neighbor(g: Graph, vertex: int, ring: set[int]) -> int:
     outs = [w for w in g.neighbors(vertex) if w not in ring]
     if len(outs) != 1:
@@ -154,21 +172,8 @@ def pentagon_join(
     w = [_outer_neighbor(gs, ps.vertices[k], ring_s) for k in range(5)]
     if len(set(t)) != 5 or len(set(w)) != 5:
         raise DomainError("outside neighbors collide; host girth too small")
-    gp0, map_p = delete_vertices(gp, ring_p)
-    gs0, map_s = delete_vertices(gs, ring_s)
-    off = gp0.n
-    prime_map = dict(map_p)
-    star_map = {old: off + new for old, new in map_s.items()}
-    edges = list(gp0.edges)
-    edges += [(off + a, off + b) for a, b in gs0.edges]
-    joins = []
-    for k in range(5):
-        pair = (prime_map[t[k]], star_map[w[(2 * k + rotation) % 5]])
-        joins.append(pair)
-        edges.append(pair)
-    graph = Graph.from_edges(off + gs0.n, edges)
-    conn = tuple(sorted(graph.edge_index(a, b) for a, b in joins))
-    return JoinResult(graph, prime_map, star_map, conn)
+    wire = lambda pm, sm, _: [(pm[t[k]], sm[w[(2 * k + rotation) % 5]]) for k in range(5)]
+    return _splice(gp, ring_p, gs, ring_s, 0, wire)
 
 
 def superpose_52(
@@ -191,30 +196,17 @@ def superpose_52(
     w_outer = sorted(x for x in gp.neighbors(big_v) if x != big_u)
     u_nbrs = sorted(gs.neighbors(u))
     v_nbrs = sorted(gs.neighbors(v))
-    gp0, map_p = delete_vertices(gp, {big_u, big_v})
-    gs0, map_s = delete_vertices(gs, {u, v})
-    off = gp0.n
-    base = off + gs0.n
-    prime_map = dict(map_p)
-    star_map = {old: off + new for old, new in map_s.items()}
-    # New vertices: the three-vertex paths replacing the deleted endpoints.
-    t_mid = [base, base + 1, base + 2]      # T(-1), T(0), T(1)
-    w_mid = [base + 3, base + 4, base + 5]  # W(-1), W(0), W(1)
-    t_chain = [prime_map[t_outer[0]], *t_mid, prime_map[t_outer[1]]]
-    w_chain = [prime_map[w_outer[0]], *w_mid, prime_map[w_outer[1]]]
-    edges = list(gp0.edges)
-    edges += [(off + a, off + b) for a, b in gs0.edges]
-    joins = []
-    for i in range(4):
-        joins.append((t_chain[i], t_chain[i + 1]))
-        joins.append((w_chain[i], w_chain[i + 1]))
-    for i in range(3):
-        joins.append((t_mid[i], star_map[u_nbrs[i]]))
-        joins.append((star_map[v_nbrs[i]], w_mid[i]))
-    edges += joins
-    graph = Graph.from_edges(base + 6, edges)
-    conn = tuple(sorted(graph.edge_index(a, b) for a, b in joins))
-    return JoinResult(graph, prime_map, star_map, conn, tuple(t_mid + w_mid))
+
+    def wire(pm, sm, new):
+        # new vertices: the three-vertex paths T(-1), T(0), T(1) and W(-1),
+        # W(0), W(1) replacing the deleted endpoints
+        t = [pm[t_outer[0]], *new[:3], pm[t_outer[1]]]
+        w = [pm[w_outer[0]], *new[3:], pm[w_outer[1]]]
+        spokes = [(new[i], sm[u_nbrs[i]]) for i in range(3)]
+        spokes += [(sm[v_nbrs[i]], new[3 + i]) for i in range(3)]
+        return [*zip(t, t[1:]), *zip(w, w[1:]), *spokes]
+
+    return _splice(gp, {big_u, big_v}, gs, {u, v}, 6, wire)
 
 
 def dot_product(
@@ -249,21 +241,7 @@ def dot_product(
     y_nbrs = sorted(t for t in g2.neighbors(y) if t != x)
     if wiring == "crossed":
         x_nbrs = x_nbrs[::-1]
+    # the first factor loses edges but no vertex, so its labels stay
     g1_cut = delete_edges(g1, [r1.pair, r2.pair])
-    g2_cut, map2 = delete_vertices(g2, {x, y})
-    off = g1.n
-    prime_map = {vtx: vtx for vtx in range(g1.n)}
-    star_map = {old: off + new for old, new in map2.items()}
-    edges = list(g1_cut.edges)
-    edges += [(off + p, off + q) for p, q in g2_cut.edges]
-    joins = [
-        (a, star_map[x_nbrs[0]]),
-        (b, star_map[x_nbrs[1]]),
-        (c, star_map[y_nbrs[0]]),
-        (d, star_map[y_nbrs[1]]),
-    ]
-    edges += joins
-    graph = Graph.from_edges(off + g2_cut.n, edges)
-    conn = tuple(sorted(graph.edge_index(*pq) for pq in joins))
-    return JoinResult(graph, prime_map, star_map, conn)
-
+    wire = lambda pm, sm, _: list(zip((a, b, c, d), [sm[t] for t in x_nbrs + y_nbrs]))
+    return _splice(g1_cut, (), g2, {x, y}, 0, wire)

@@ -19,30 +19,23 @@ _MAX_N = 68719476735  # largest vertex count the size prefix can carry
 
 def _size_prefix(n: int) -> list[int]:
     if n <= 62:
-        return [n + 63]
+        return [n]
     if n <= 258047:
-        return [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    return [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
+        return [63, n >> 12, (n >> 6) & 63, n & 63]
+    return [63, 63] + [(n >> (6 * k)) & 63 for k in range(5, -1, -1)]
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no header, no newline)."""
     if g.n > _MAX_N:
         raise ValueError("graph too large for graph6")
-    out = _size_prefix(g.n)
-    adj = set(g.edges)
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if (i, j) in adj else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return "".join(chr(b) for b in out)
+    # pair (i, j), i < j, is bit j(j-1)/2 + i of the body, six to a digit,
+    # most significant first
+    digits = [0] * ((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        p = j * (j - 1) // 2 + i
+        digits[p // 6] |= 32 >> (p % 6)
+    return "".join(chr(b + 63) for b in _size_prefix(g.n) + digits)
 
 
 def _digit(s: str, pos: int) -> int:
@@ -88,17 +81,10 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} data bytes for n={n}, got {len(body)}", len(s)
         )
-    bits = []
-    for d in body:
-        bits.extend((d >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[t]:
-                edges.append((i, j))
-            t += 1
-    return Graph.from_edges(n, edges)
+    # the bits past the last pair are padding and are ignored
+    bits = ((d >> k) & 1 for d in body for k in range(5, -1, -1))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def to_dot(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:

@@ -29,7 +29,7 @@ from .graph6 import decode_graph6, encode_graph6, graph6_order
 from .coloring import _psi_pass, psi_from_count, psi_with_counts
 from .isomorphism import edge_orbits
 from .analyze import SnarkCertificate, _snark_clauses
-from .recipe import evaluate_text, format_recipe, parse_recipe
+from .recipe import evaluate, evaluate_text, format_recipe, parse_recipe
 from .value import Value
 
 
@@ -233,8 +233,9 @@ def evaluate_recipe_records(
     coloring count included, so going over it truncates the whole recipe."""
     budget = budget or SearchBudget()
     try:
-        canonical = format_recipe(parse_recipe(recipe_text))
-        g = evaluate_text(canonical)
+        recipe = parse_recipe(recipe_text)
+        canonical = format_recipe(recipe)
+        g = evaluate(recipe)
     except (DomainError, Graph6ParseError) as exc:
         return [TruncationRecord(recipe_text, f"recipe: {exc}")]
     if g.m > budget.max_edges:

@@ -44,6 +44,29 @@ def test_certify_pass_and_fail(capsys, K4):
     assert code == 1 and "fail" in out
 
 
+def test_certify_json_payload(capsys, K4):
+    code, out, _ = run(capsys, "certify", "--recipe", "(petersen)", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "girth": 5,
+        "girth_ok": True,
+        "connectivity_level": 4,
+        "connectivity_ok": True,
+        "coloring_count": 0,
+        "passed": True,
+    }
+    code, out, _ = run(capsys, "certify", "--graph6", encode_graph6(K4), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "girth": 3,
+        "girth_ok": False,
+        "connectivity_level": 4,
+        "connectivity_ok": False,
+        "coloring_count": 6,
+        "passed": False,
+    }
+
+
 def test_count(capsys, W):
     code, out, _ = run(capsys, "count", "--graph6", encode_graph6(W))
     assert code == 0

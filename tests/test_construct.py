@@ -24,6 +24,7 @@ from snarkforge.construct import (
     remove_pentagon,
     superpose_52,
 )
+from snarkforge.graph6 import encode_graph6
 from snarkforge.isomorphism import is_isomorphic
 
 
@@ -229,3 +230,70 @@ class TestDotProduct:
             dot_product(P, 0, 7, P, 0, 6)  # non-adjacent vertices
         with pytest.raises(DomainError):
             dot_product(P, 0, 7, P, 0, 1, wiring="diagonal")
+
+
+def _joins(P, J5):
+    p, s = list_pentagons(P)[0], list_pentagons(P)[4]  # (0,1,2,3,4), (0,4,3,8,5)
+    return {
+        "pentagon P.P rot 0": pentagon_join(P, p, P, s, 0),
+        "pentagon P.P rot 2": pentagon_join(P, p, P, s, 2),
+        "pentagon P.J5": pentagon_join(P, s, J5, list_pentagons(J5)[0]),
+        "superpose P into P": superpose_52(P, 0, P, 0, 6),
+        "dot parallel": dot_product(P, 0, 7, P, 0, 1, "parallel"),
+        "dot crossed": dot_product(P, 0, 7, P, 0, 1, "crossed"),
+    }
+
+
+_IDENTITY = {v: v for v in range(10)}
+_DOT_STAR = {2: 10, 3: 11, 4: 12, 5: 13, 6: 14, 7: 15, 8: 16, 9: 17}
+GOLDEN = {
+    "pentagon P.P rot 0": (
+        "IUYAGWaCW",
+        {5: 0, 6: 1, 7: 2, 8: 3, 9: 4},
+        {1: 5, 2: 6, 6: 7, 7: 8, 9: 9},
+        (2, 5, 7, 8, 9),
+        (),
+    ),
+    "pentagon P.P rot 2": (
+        "IUWKGhAGW",
+        {5: 0, 6: 1, 7: 2, 8: 3, 9: 4},
+        {1: 5, 2: 6, 6: 7, 7: 8, 9: 9},
+        (2, 5, 7, 8, 9),
+        (),
+    ),
+    "pentagon P.J5": (
+        "SqK??????C_g?g?S?cCGOG`?HA?`AA?`?",
+        {1: 0, 2: 1, 6: 2, 7: 3, 9: 4},
+        {v: v for v in range(5, 20)},
+        (2, 4, 6, 8, 9),
+        (),
+    ),
+    "superpose P into P": (
+        "UgAQpW??G?_@???C_@O?IGG??CG_CK@????`A?CG",
+        {2: 0, 3: 1, 4: 2, 5: 3, 6: 4, 7: 5, 8: 6, 9: 7},
+        {1: 8, 2: 9, 3: 10, 4: 11, 5: 12, 7: 13, 8: 14, 9: 15},
+        (2, 6, 9, 12, 15, 16, 22, 25, 27, 28, 29, 30, 31, 32),
+        (16, 17, 18, 19, 20, 21),
+    ),
+    "dot parallel": (
+        "QHaA@GUAo_?@_@O?@???Q?@W?Ao", _IDENTITY, _DOT_STAR, (2, 5, 9, 11), ()
+    ),
+    "dot crossed": (
+        "QHaA@GUAo_?@O@_?@???Q?@W?Ao", _IDENTITY, _DOT_STAR, (2, 5, 9, 11), ()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_join_outputs_are_pinned(P, J5, name):
+    # the graph, both block maps, the connecting edges and the fresh
+    # vertices of each construction, byte for byte
+    res = _joins(P, J5)[name]
+    got = (
+        encode_graph6(res.graph),
+        res.prime_map,
+        res.star_map,
+        res.connecting_edges,
+        res.new_vertices,
+    )
+    assert got == GOLDEN[name]

@@ -44,6 +44,23 @@ def test_random_round_trips():
         assert decode_graph6(encode_graph6(g)) == g
 
 
+def test_agrees_with_networkx_past_the_one_byte_prefix():
+    # n up to 130 crosses the 62/63 boundary of the size prefix
+    rng = random.Random(11)
+    for n in [1, 2, 61, 62, 63, 64, 130] + [rng.randint(1, 130) for _ in range(8)]:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = rng.sample(pairs, k=min(len(pairs), rng.randint(0, 3 * n)))
+        g = Graph.from_edges(n, edges)
+        theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert encode_graph6(g) == theirs
+        assert decode_graph6(theirs) == g
+
+
+def test_padding_bits_are_ignored():
+    # n=5 has 10 pair bits in two bytes: the last two bits of "~" are padding
+    assert decode_graph6("D?~") == decode_graph6("D?{")
+
+
 def test_parse_errors_carry_offset():
     with pytest.raises(Graph6ParseError) as err:
         decode_graph6("!!!")

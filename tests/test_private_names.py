@@ -8,8 +8,9 @@ and edge orbits through isomorphism.edge_orbits.  Read the package with
 ast so that no other module reads or writes graph.py's stored order,
 layout, coloring, forest or labels or isomorphism.py's
 stored orbits, no other module names graph._invariants,
-so the refined coloring stays the one vertex invariant, and analyze.py
-imports no private name from coloring."""
+so the refined coloring stays the one vertex invariant, analyze.py
+imports no private name from coloring, and in construct.py only
+_splice deletes vertices."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,17 @@ def test_private_names_stay_in_their_module():
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 found += [f"analyze.py:{node.lineno} {name}" for name in private]
     assert not found
+
+
+def test_only_the_splice_deletes_vertices_in_construct():
+    # the block-offset labeling of the three joins stays in construct._splice
+    tree = ast.parse((PACKAGE / "construct.py").read_text(encoding="utf-8"))
+    callers = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "delete_vertices"
+    }
+    assert callers == {"_splice"}
