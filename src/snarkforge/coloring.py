@@ -15,11 +15,12 @@ steps once forward and once in reverse over the host's Klein flows, with
 no smoothing, and the reverse fold also counts the host's colorings.
 The order is searched once per graph value, and a smoothed graph
 inherits its host's order (graph.contract_removed_edge); the frontier
-edges keep the slots of graph.frontier_layout, derived once per order.
-A step reads one table, cached per step, from the colors key of the
-slots it closes to the XOR deltas key ^ add, one per packing add of
-colors onto the edges it opens, so graph.frontier_step moves each state
-with one lookup; the table shifts the colorings its vertex's shape
+edges keep the slots of graph.frontier_layout, derived once per order,
+and the placement steps are stored once per graph value, pins patched
+in per count.  A step reads one table, cached per step, from the colors
+key of the slots it closes to the XOR deltas key ^ add, one per packing
+add of colors onto the edges it opens, so graph.frontier_step moves each
+state with one lookup; the table shifts the colorings its vertex's shape
 allows, listed once per shape, onto its slots.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
@@ -103,20 +104,23 @@ class EdgeColoring(Value):
 # -- enumeration and counting kernels ------------------------------------
 
 
-def _check_colorable_shape(g: Graph):
-    if any(g.valence(v) > 3 for v in range(g.n)):
+def _check_colorable_shape(g: Graph) -> set[int]:
+    """g's valences, read in one pass, once g is connected with valence <= 3."""
+    valences = set(map(len, g._neighbors))
+    if max(valences) > 3:
         raise DomainError("edge-3-coloring needs maximum valence 3")
     if not g.is_connected():
         raise DomainError("graph must be connected")
+    return valences
 
 
 def _check_decomposable(g: Graph):
-    _check_colorable_shape(g)
-    if not is_quasi_cubic(g):
+    if not _check_colorable_shape(g) <= {1, 3}:
         raise DomainError("decomposition counting is defined for quasi-cubic graphs")
 
 
 _Table = dict[int, tuple[int, ...]]
+_Step = tuple[tuple[tuple[int, int], ...], int, _Table]
 
 
 @cache
@@ -165,21 +169,38 @@ def _step_table(
     return mask, table
 
 
-def _placement_steps(
-    g: Graph, fixed: Optional[dict[int, int]] = None
-) -> list[tuple[tuple[tuple[int, int], ...], int, _Table]]:
-    """The vertex placements both kernels walk, in graph.frontier_order.
+def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequence[_Step]:
+    """The vertex placements every kernel walks, in graph.frontier_order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
     placed), packed two bits per graph.frontier_layout slot into an int.
     Each step is (opening, mask, table): the layout's (edge, slot) pairs
     of the edges the vertex opens, and the _step_table of its closing
-    slots and of its opening ones with the pins in ``fixed``."""
-    fixed = fixed or {}
-    return [
-        (opening, *_step_table(closing, tuple((x, fixed.get(i)) for i, x in opening)))
-        for closing, opening in frontier_layout(g)[0]
-    ]
+    slots and of its opening ones with the pins in ``fixed``.
+
+    The unpinned steps are derived once per graph value and stored on it
+    as ``_placement``, with the step that opens each edge; a pinned call
+    copies them and rebuilds only the steps that open a pinned edge.  The
+    stored steps and their tables are shared, so callers only read them."""
+    layout = frontier_layout(g)[0]
+    stored = getattr(g, "_placement", None)
+    if stored is None:
+        steps = []
+        for closing, opening in layout:
+            unpinned = tuple([(x, None) for _, x in opening])
+            steps.append((opening, *_step_table(closing, unpinned)))
+        opener = {i: k for k, (_closing, opening) in enumerate(layout) for i, _ in opening}
+        stored = tuple(steps), opener
+        object.__setattr__(g, "_placement", stored)
+    steps, opener = stored
+    if not fixed:
+        return steps
+    pinned = list(steps)
+    for k in {opener[i] for i in fixed}:
+        closing, opening = layout[k]
+        pins = tuple([(x, fixed.get(i)) for i, x in opening])
+        pinned[k] = (opening, *_step_table(closing, pins))
+    return pinned
 
 
 def _count_frontier(
@@ -242,8 +263,7 @@ def count_colorings(g: Graph, node_budget: Optional[int] = None) -> int:
     at count_decompositions' pivot, since each coloring is one of the six
     color permutations of one pinned coloring; ``node_budget`` caps the
     states of that pinned fold.  Paths and cycles take the plain fold."""
-    _check_colorable_shape(g)
-    if max(map(g.valence, range(g.n))) < 3:
+    if 3 not in _check_colorable_shape(g):
         return _count_frontier(g, node_budget=node_budget)
     pins = _decomposition_fixing(g, frontier_order(g))
     return 6 * _count_frontier(g, pins, node_budget)

@@ -21,6 +21,7 @@ here mutates.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
@@ -244,13 +245,16 @@ def _require_smoothable(g: Graph) -> None:
     """contract_removed_edge's conditions on the host: cubic, with girth at
     least 4.  They keep every smoothing simple: a neighbor shared by the
     ends of e, or two adjacent neighbors of one end, would close a
-    triangle."""
+    triangle.  A pass is stored on g, a failure is not, so it raises again."""
+    if getattr(g, "_smoothing_checked", False):
+        return
     if not is_cubic(g):
         raise DomainError("edge smoothing requires a cubic graph")
     # a cubic graph has girth at least 4 exactly when no edge is on a triangle
     nbr = [frozenset(g.neighbors(x)) for x in range(g.n)]
     if any(nbr[a] & nbr[b] for a, b in g.edges):
         raise DomainError("edge smoothing requires girth at least 4")
+    object.__setattr__(g, "_smoothing_checked", True)
 
 
 def _smoothable(g: Graph, edges: Iterable[EdgeLike]) -> Iterator[int]:
@@ -278,23 +282,24 @@ def contract_removed_edge(g: Graph, e: EdgeLike) -> tuple[Graph, EdgeRef, EdgeRe
 
     Returns the smaller cubic graph plus the two inserted edges d1 (from
     u's side) and d2 (from v's side).  Requires a cubic host with girth
-    at least 4, which is exactly what keeps the result simple.  The
-    smaller graph inherits the host's frontier_order, minus u and v and
-    renumbered, so the order is searched once per host, not per edge.
+    at least 4, which is exactly what keeps the result simple.  The host
+    is checked, and its frontier_order searched, once per graph value,
+    not per edge: the smaller graph inherits the order, minus u and v and
+    renumbered.
     """
     ref = resolve_edge(g, e)
     _require_smoothable(g)
     u, v = ref.pair
     t1, t2 = (w for w in g.neighbors(u) if w != v)
     w1, w2 = (w for w in g.neighbors(v) if w != u)
-    # survivors keep their order, renumbered densely as delete_vertices does
+    # survivors renumbered densely and in order, so the kept edges stay sorted
     new = [x - (x > u) - (x > v) for x in range(g.n)]
     d1_pair = _normalize_pair(new[t1], new[t2])
     d2_pair = _normalize_pair(new[w1], new[w2])
-    kept = [
-        (new[a], new[b]) for a, b in g.edges if a not in ref.pair and b not in ref.pair
-    ]
-    out = Graph.from_edges(g.n - 2, kept + [d1_pair, d2_pair])
+    kept = [(new[a], new[b]) for a, b in g.edges if a not in ref.pair and b not in ref.pair]
+    insort(kept, d1_pair)
+    insort(kept, d2_pair)
+    out = Graph(g.n - 2, tuple(kept))
     inherited = tuple(new[x] for x in frontier_order(g) if x not in ref.pair)
     object.__setattr__(out, "_frontier_order", inherited)
     return out, out.edge_ref(out.edge_index(*d1_pair)), out.edge_ref(out.edge_index(*d2_pair))

@@ -7,6 +7,7 @@ labeled graph: round-tripping a string produced here is the identity.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 from .errors import DomainError, Graph6ParseError
@@ -81,10 +82,14 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} data bytes for n={n}, got {len(body)}", len(s)
         )
-    # the bits past the last pair are padding and are ignored
-    bits = ((d >> k) & 1 for d in body for k in range(5, -1, -1))
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    return Graph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
+    # bit p = j(j-1)/2 + i of the body is pair (i, j), i < j, as in
+    # encode_graph6; only set bits are read, and padding bits are ignored
+    pairs = []
+    for p in [6 * k + r for k, d in enumerate(body) if d for r in range(6) if d & 32 >> r]:
+        if p < nbits:
+            j = (isqrt(8 * p + 1) + 1) // 2
+            pairs.append((p - j * (j - 1) // 2, j))
+    return Graph.from_edges(n, pairs)
 
 
 def to_dot(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:

@@ -37,6 +37,8 @@ the vertex rule (the package shifts the shape's valid colorings onto the
 step's slots).  The isomorphism search's vertex invariant keeps its former
 form here, valence and sorted BFS distances from one search per vertex
 (the package counts the vertices in balls grown for all vertices at once).
+A graph6 body is decoded by reading every pair bit in turn (the package
+reads the set bits alone and inverts each bit position to its pair).
 """
 
 from __future__ import annotations
@@ -836,3 +838,20 @@ def step_table_by_products(
             key = sum(c << 2 * x for c, x in zip(known, closing))
             table[key] = tuple(map(key.__xor__, adds))
     return mask, table
+
+
+def decode_graph6_by_pair_bits(text: str) -> Graph:
+    """A graph6 string decoded as graph6.decode_graph6 once did it, for
+    well-formed strings without header: the body is read bit by bit, most
+    significant bit of each digit first, against every pair (i, j), i < j,
+    in the format's column order, and the bits past the last pair are
+    never read.  The size prefix is one digit, or ``~`` and three, or
+    ``~~`` and six."""
+    s = text.strip()
+    width = 1 if s[0] != "~" else 4 if s[1] != "~" else 8
+    n = 0
+    for c in s[(width > 1) + (width > 4):width]:
+        n = n << 6 | ord(c) - 63
+    bits = ((ord(c) - 63 >> k) & 1 for c in s[width:] for k in range(5, -1, -1))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])

@@ -8,7 +8,7 @@ import random
 import networkx as nx
 from hypothesis import assume, strategies as st
 
-from snarkforge.graph import Graph
+from snarkforge.graph import Graph, girth
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -34,6 +34,18 @@ def cubic_graphs(draw, max_n: int) -> Graph:
     if first + 4 <= max_n and draw(st.booleans()):
         parts.append((draw(st.sampled_from(range(4, max_n - first + 1, 2))), draw(seeds)))
     return random_cubic_union(parts)
+
+
+@st.composite
+def girth4_cubic(draw) -> Graph:
+    """A connected networkx random cubic graph of order 6..18 and girth at
+    least 4, the hosts that edge smoothing accepts."""
+    n = draw(st.sampled_from(range(6, 19, 2)))
+    G = nx.random_regular_graph(3, n, seed=draw(seeds))
+    assume(nx.is_connected(G))
+    g = Graph.from_edges(n, G.edges())
+    assume(girth(g) >= 4)
+    return g
 
 
 @st.composite

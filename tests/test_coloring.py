@@ -5,14 +5,24 @@ import pytest
 from oracles import (
     count_ec_by_factorization,
     count_ed_by_factorization,
+    naive_colorings,
     naive_count_colorings,
     step_table_by_products,
 )
+from strategies import generalized_petersen
 from snarkforge.errors import BudgetExceededError, DomainError
-from snarkforge.graph import Graph, contract_removed_edge, delete_edges, list_pentagons
+from snarkforge.graph import (
+    Graph,
+    contract_removed_edge,
+    delete_edges,
+    frontier_layout,
+    list_pentagons,
+)
 from snarkforge.klein import ZERO
 from snarkforge.coloring import (
     EdgeColoring,
+    _count_frontier,
+    _placement_steps,
     _step_table,
     count_colorings,
     count_decompositions,
@@ -91,6 +101,36 @@ class TestStepTable:
             want_mask, want = step_table_by_products(closing, opening)
             assert mask == want_mask
             assert list(table.items()) == list(want.items()), (closing, opening)
+
+
+class TestPlacementSteps:
+    def test_set_up_once_per_graph_value_and_patched_at_pins(self):
+        g = generalized_petersen(7, 2)  # a fresh graph value, colorable
+        steps = _placement_steps(g)
+        assert _placement_steps(g) is steps
+        stored = [(opening, mask, dict(table)) for opening, mask, table in steps]
+        # two pins, on edges that steps k1 and k2 open
+        layout = frontier_layout(g)[0]
+        openers = [k for k, (_closing, opening) in enumerate(layout) if opening]
+        k1, k2 = openers[len(openers) // 2], openers[-1]
+        pins = {layout[k1][1][0][0]: 1, layout[k2][1][-1][0]: 2}
+        want = sum(all(c[i] == x for i, x in pins.items()) for c in naive_colorings(g))
+        assert count_decompositions(g) == count_ed_by_factorization(g)
+        for _ in range(2):
+            # each pinned count looks up the tables of its pinned steps alone
+            before = _step_table.cache_info()
+            assert _count_frontier(g, pins) == want
+            after = _step_table.cache_info()
+            assert after.hits + after.misses - before.hits - before.misses == 2
+            assert after.misses - before.misses <= 2
+        pinned = _placement_steps(g, pins)
+        assert [k for k, step in enumerate(pinned) if step is not steps[k]] == [k1, k2]
+        # the stored steps are the same object, unmutated, and an unpinned
+        # count and enumeration after the pinned ones still match the oracle
+        assert _placement_steps(g) is steps
+        assert [(opening, mask, dict(table)) for opening, mask, table in steps] == stored
+        assert _count_frontier(g) == count_ec_by_factorization(g) > 0
+        assert len(list(enumerate_colorings(g))) == count_ec_by_factorization(g)
 
 
 class TestEnumerateColorings:

@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     count_ec_by_factorization,
@@ -21,11 +21,12 @@ from oracles import (
 from strategies import (
     SYMMETRIC_CUBIC,
     cubic_graphs,
+    girth4_cubic,
     planted_cut_graphs,
     random_cubic_union,
     seeds,
 )
-from snarkforge.coloring import _count_frontier, count_decompositions, count_same_class
+from snarkforge.coloring import _count_frontier, count_decompositions, count_same_class, psi_counts
 from snarkforge.covers import even_cover_sum
 from snarkforge.kempe import cocyclic_factor_count
 from snarkforge.errors import CyclicConnectivityUndefinedError, DomainError
@@ -55,6 +56,28 @@ from snarkforge.graph import (
 from snarkforge.construct import flower
 from snarkforge.ledger import superpose_chain_family
 from snarkforge.recipe import evaluate_text
+
+
+def smoothed_in_two_steps(g: Graph, i: int):
+    """contract_removed_edge's result built by delete_vertices, then a
+    second Graph.from_edges with d1 and d2 added."""
+    u, v = g.edges[i]
+    t1, t2 = (w for w in g.neighbors(u) if w != v)
+    w1, w2 = (w for w in g.neighbors(v) if w != u)
+    smaller, mapping = delete_vertices(g, {u, v})
+    d1 = tuple(sorted((mapping[t1], mapping[t2])))
+    d2 = tuple(sorted((mapping[w1], mapping[w2])))
+    out = Graph.from_edges(smaller.n, list(smaller.edges) + [d1, d2])
+    return out, out.edge_ref(out.edge_index(*d1)), out.edge_ref(out.edge_index(*d2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(girth4_cubic())
+def test_smoothing_equals_the_two_step_construction(g):
+    # at every edge of one host value, which is checked at the first
+    for i in range(g.m):
+        assert contract_removed_edge(g, i) == smoothed_in_two_steps(g, i)
 
 
 def triangle():
@@ -214,33 +237,25 @@ class TestContractRemovedEdge:
             assert not set(d1.pair) & set(d2.pair)
 
     def test_rejects_bad_hosts(self, K4, prism):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(DomainError):
-            contract_removed_edge(g, 0)  # not cubic
-        # K4 and the prism are cubic with girth 3, whichever edge is smoothed
-        for host in [K4, prism]:
-            for i in range(host.m):
-                with pytest.raises(DomainError, match="edge smoothing requires girth at least 4"):
-                    contract_removed_edge(host, i)
+        # K4 and the prism are cubic with girth 3, whichever edge is
+        # smoothed; a failed check is not stored, so a bad host raises the
+        # same text on every call, also after psi_counts' check met it
+        cases = [(Graph.from_edges(2, [(0, 1)]), "a cubic graph"),
+                 (delete_edges(K4, [(0, 1)]), "a cubic graph"),
+                 (K4, "girth at least 4"), (prism, "girth at least 4")]
+        for host, text in cases:
+            for smooth in (lambda g, i: psi_counts(g, [i]), contract_removed_edge):
+                for i in range(host.m):
+                    with pytest.raises(DomainError) as err:
+                        smooth(host, i)
+                    assert str(err.value) == f"edge smoothing requires {text}"
 
     def test_matches_two_step_construction(self, P):
-        # reference construction: delete_vertices, then a second graph
-        # with d1 and d2 added
-        def two_step(g, i):
-            u, v = g.edges[i]
-            t1, t2 = (w for w in g.neighbors(u) if w != v)
-            w1, w2 = (w for w in g.neighbors(v) if w != u)
-            smaller, mapping = delete_vertices(g, {u, v})
-            d1 = tuple(sorted((mapping[t1], mapping[t2])))
-            d2 = tuple(sorted((mapping[w1], mapping[w2])))
-            out = Graph.from_edges(smaller.n, list(smaller.edges) + [d1, d2])
-            return out, out.edge_ref(out.edge_index(*d1)), out.edge_ref(out.edge_index(*d2))
-
         hosts = [P] + [flower(n) for n in (5, 7, 9)]
         hosts += [evaluate_text(r) for r in superpose_chain_family(2)]
         for g in hosts:
             for i in range(g.m):
-                assert contract_removed_edge(g, i) == two_step(g, i)
+                assert contract_removed_edge(g, i) == smoothed_in_two_steps(g, i)
 
     def test_smoothing_inherits_the_host_order(self, P):
         # the host's order without e's endpoints, renumbered as

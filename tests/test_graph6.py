@@ -2,8 +2,9 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import to_nx
+from oracles import decode_graph6_by_pair_bits, to_nx
 from snarkforge.errors import DomainError, Graph6ParseError
 from snarkforge.graph import Graph
 from snarkforge.graph6 import decode_graph6, encode_graph6, graph6_order, to_dot
@@ -59,6 +60,52 @@ def test_agrees_with_networkx_past_the_one_byte_prefix():
 def test_padding_bits_are_ignored():
     # n=5 has 10 pair bits in two bytes: the last two bits of "~" are padding
     assert decode_graph6("D?~") == decode_graph6("D?{")
+
+
+GRAPH6 = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def body_digits(n: int) -> int:
+    return (n * (n - 1) // 2 + 5) // 6
+
+
+@GRAPH6
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.floats(0, 1))
+def test_round_trips_against_the_pair_bit_decoder(n, seed, density):
+    # n up to 130 crosses the 62/63 boundary of the size prefix
+    rng = random.Random(seed)
+    pairs = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < density]
+    g = Graph.from_edges(n, pairs)
+    s = encode_graph6(g)
+    assert decode_graph6(s) == decode_graph6_by_pair_bits(s) == g
+
+
+@GRAPH6
+@given(st.integers(1, 130), st.data())
+def test_any_body_decodes_as_the_pair_bit_decoder(n, data):
+    # every digit drawn, padding bits included: those are ignored, so the
+    # string decodes as its cleared form, which encode_graph6 gives back
+    empty = encode_graph6(Graph(n, ()))
+    need = body_digits(n)
+    body = data.draw(st.lists(st.integers(0, 63), min_size=need, max_size=need))
+    s = empty[:len(empty) - need] + "".join(chr(d + 63) for d in body)
+    g = decode_graph6(s)
+    assert g == decode_graph6_by_pair_bits(s)
+    padding = 6 * need - n * (n - 1) // 2
+    cleared = s[:-1] + chr((body[-1] >> padding << padding) + 63) if need else s
+    assert decode_graph6(cleared) == g and encode_graph6(g) == cleared
+
+
+@pytest.mark.parametrize("n", [5, 63, 130])
+def test_set_padding_bits_decode_as_cleared(n):
+    # a body of set bits is K_n whether its padding bits are set or not
+    # (n = 5, 63 and 130 leave 2, 3 and 3 of them)
+    empty = encode_graph6(Graph(n, ()))
+    need = body_digits(n)
+    full = empty[:len(empty) - need] + "~" * need
+    complete = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
+    assert decode_graph6(full) == complete
+    assert encode_graph6(complete) != full and decode_graph6(encode_graph6(complete)) == complete
 
 
 def test_parse_errors_carry_offset():

@@ -3,14 +3,15 @@ graph.contract_removed_edge alone, the verifiers smooth through that
 public call, the frontier DPs read their slots through
 graph.frontier_layout, every caller reads the refined vertex coloring
 through graph.refined_coloring, the spanning forest through
-graph.spanning_forest, the cycle-space labels through graph.cycle_labels
-and edge orbits through isomorphism.edge_orbits.  Read the package with
+graph.spanning_forest, the cycle-space labels through graph.cycle_labels,
+edge orbits through isomorphism.edge_orbits and the coloring kernels'
+placement steps through coloring._placement_steps.  Read the package with
 ast so that no other module reads or writes graph.py's stored order,
-layout, coloring, forest or labels or isomorphism.py's
-stored orbits, no other module names graph._invariants,
-so the refined coloring stays the one vertex invariant, analyze.py
-imports no private name from coloring, and in construct.py only
-_splice deletes vertices."""
+layout, coloring, forest, labels or smoothing check, isomorphism.py's
+stored orbits or coloring.py's stored steps, no other module names
+graph._invariants, so the refined coloring stays the one vertex
+invariant, analyze.py imports no private name from coloring, and in
+construct.py only _splice deletes vertices."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,8 @@ STORED = {
     "_cycle_labels": "graph.py",
     "_spanning_forest": "graph.py",
     "_invariants": "graph.py",
+    "_smoothing_checked": "graph.py",
+    "_placement": "coloring.py",
     "_edge_orbits": "isomorphism.py",
 }
 

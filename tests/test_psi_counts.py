@@ -10,10 +10,10 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import smoothable_by_search, smoothed_decomposition_count
-from strategies import moebius_ladder, prism_graph
+from strategies import girth4_cubic, moebius_ladder, prism_graph
 from snarkforge import analyze, coloring, graph, ledger
 from snarkforge.analyze import certify_snark
 from snarkforge.coloring import (
@@ -79,16 +79,6 @@ def test_edges_of_the_first_and_last_vertex_alone(name):
     for v in (order[0], order[-1]):
         for i in g.incident_edges(v):
             assert psi_counts(g, [i]) == smoothed_counts(g, [i])
-
-
-@st.composite
-def girth4_cubic(draw) -> Graph:
-    n = draw(st.sampled_from(range(6, 19, 2)))
-    G = nx.random_regular_graph(3, n, seed=draw(seeds))
-    assume(nx.is_connected(G))
-    g = Graph.from_edges(n, G.edges())
-    assume(girth(g) >= 4)
-    return g
 
 
 @SETTINGS
