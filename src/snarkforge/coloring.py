@@ -16,12 +16,14 @@ no smoothing, and the reverse fold also counts the host's colorings.
 The order is searched once per graph value, and a smoothed graph
 inherits its host's order (graph.contract_removed_edge); the frontier
 edges keep the slots of graph.frontier_layout, derived once per order,
-and the placement steps are stored once per graph value, pins patched
-in per count.  A step reads one table, cached per step, from the colors
-key of the slots it closes to the XOR deltas key ^ add, one per packing
-add of colors onto the edges it opens, so graph.frontier_step moves each
-state with one lookup; the table shifts the colorings its vertex's shape
-allows, listed once per shape, onto its slots.
+which names the edge in every slot, so no kernel here derives a slot
+from incident_edges; the placement steps are stored once per graph
+value, pins patched in per count.  A step reads one table, cached per
+step, from the colors key of the slots it closes to the XOR deltas
+key ^ add, one per packing add of colors onto the edges it opens, so
+graph.frontier_step moves each state with one lookup; the table shifts
+the colorings its vertex's shape allows, listed once per shape, onto
+its slots.
 
 A decomposition is counted as the one coloring with colors 1, 2, 3 on the
 edges of a trivalent pivot.  Counts pin the first trivalent vertex of the
@@ -40,6 +42,7 @@ from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
     Graph,
+    Pairs,
     _smoothable,
     contract_removed_edge,
     frontier_layout,
@@ -169,37 +172,40 @@ def _step_table(
     return mask, table
 
 
+def _pair_table(closing: Pairs, opening: Pairs, pins: dict[int, int]) -> tuple[int, _Table]:
+    """The _step_table of a step that closes and opens these (edge, slot)
+    pairs of graph.frontier_layout, an opening edge in ``pins`` pinned."""
+    slots = tuple([x for _, x in closing])
+    return _step_table(slots, tuple([(x, pins.get(i)) for i, x in opening]))
+
+
 def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequence[_Step]:
     """The vertex placements every kernel walks, in graph.frontier_order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
     placed), packed two bits per graph.frontier_layout slot into an int.
     Each step is (opening, mask, table): the layout's (edge, slot) pairs
-    of the edges the vertex opens, and the _step_table of its closing
-    slots and of its opening ones with the pins in ``fixed``.
+    of the edges the vertex opens, and the _pair_table of its closing and
+    opening pairs with the pins in ``fixed``.
 
     The unpinned steps are derived once per graph value and stored on it
-    as ``_placement``, with the step that opens each edge; a pinned call
-    copies them and rebuilds only the steps that open a pinned edge.  The
-    stored steps and their tables are shared, so callers only read them."""
+    as ``_placement``, with the edge -> step map that gives the step
+    opening each edge (_psi_pass reads it too); a pinned call copies them
+    and rebuilds only the steps that open a pinned edge.  The stored
+    steps and their tables are shared, so callers only read them."""
     layout = frontier_layout(g)[0]
     stored = getattr(g, "_placement", None)
     if stored is None:
-        steps = []
-        for closing, opening in layout:
-            unpinned = tuple([(x, None) for _, x in opening])
-            steps.append((opening, *_step_table(closing, unpinned)))
+        steps = tuple([(step[1], *_pair_table(*step, {})) for step in layout])
         opener = {i: k for k, (_closing, opening) in enumerate(layout) for i, _ in opening}
-        stored = tuple(steps), opener
+        stored = steps, opener
         object.__setattr__(g, "_placement", stored)
     steps, opener = stored
     if not fixed:
         return steps
     pinned = list(steps)
     for k in {opener[i] for i in fixed}:
-        closing, opening = layout[k]
-        pins = tuple([(x, fixed.get(i)) for i, x in opening])
-        pinned[k] = (opening, *_step_table(closing, pins))
+        pinned[k] = (layout[k][1], *_pair_table(*layout[k], fixed))
     return pinned
 
 
@@ -409,14 +415,14 @@ def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
     So ned(G_e) is that flow count over 6.  The forward pass is
     count_decompositions' fold, pinned at the first vertex of
     frontier_order, with its state map kept at each cut; the reverse pass
-    places the same vertices last to first, each edge in the forward
-    pass's slot, so that the two passes' keys agree at every cut, and
-    pins the last vertex.  A reverse state may carry one zero, on a given
-    edge, while that edge crosses the cut; at the last vertex a zero
-    state (0, 1, 1) weighs 1 and the plain (1, 2, 3) weighs 2, which is
-    what a sum over the six relabellings rho of the colors needs.  When
-    e's zero closes at the k-th vertex, its states T_e meet the forward
-    map F at the cut before it:
+    places the same vertices last to first, each edge in the one slot
+    graph.frontier_layout names for it, so that the two passes' keys
+    agree at every cut, and pins the last vertex.  A reverse state may
+    carry one zero, on a given edge, while that edge crosses the cut; at
+    the last vertex a zero state (0, 1, 1) weighs 1 and the plain
+    (1, 2, 3) weighs 2, which is what a sum over the six relabellings rho
+    of the colors needs.  When e's zero closes at the k-th vertex, its
+    states T_e meet the forward map F at the cut before it:
 
         ned(G_e) = 1/2 * sum_t F(t) * sum_rho T_e(rho t),    or T_e(0) / 2 when k = 0.
 
@@ -439,21 +445,15 @@ def _psi_pass(
     checked, and the host's edge-3-coloring count: the plain reverse fold
     runs on to vertex 0, where it holds twice the host's decomposition
     count (the pinned last vertex weighs 2), and the host has 6 colorings
-    per decomposition.  ``node_budget`` caps the states both passes
-    generate."""
-    order = frontier_order(g)
-    pos = {v: k for k, v in enumerate(order)}
+    per decomposition.  The slots are graph.frontier_layout's pairs, a
+    reverse step swapping a forward step's closing and opening ones, and
+    one loop steps each zero map, settling it at the step opening its edge.
+    ``node_budget`` caps the states both passes generate."""
     layout, width = frontier_layout(g)
-    steps = _placement_steps(g, _decomposition_fixing(g, order))
-    # the (edge, slot) pairs each forward step closes
-    closes: list[list[tuple[int, int]]] = []
-    slot_of: dict[int, int] = {}
-    for v, (_closing, opening) in zip(order, layout):
-        closes.append([(i, slot_of[i]) for i in g.incident_edges(v) if i in slot_of])
-        slot_of.update(opening)
+    steps = _placement_steps(g, _decomposition_fixing(g, frontier_order(g)))
     mask = sum(1 << 2 * x for x in range(width))
-    # e = (order[low], order[high]) opens forward at low, in reverse at high
-    low = {i: min(pos[x] for x in g.edges[i]) for i in indexes}
+    # e opens forward at the stored step low[e] and closes there in reverse
+    low = {i: g._placement[1][i] for i in indexes}
     keep = {k - 1 for k in low.values() if k}
     generated = 0
 
@@ -466,32 +466,28 @@ def _psi_pass(
         if k in keep:
             forward[k] = states
 
-    last = closes[-1]
+    last = layout[-1][0]
     plain = {sum(c << 2 * x for c, (_, x) in zip(COLORS, last)): 2}
     zeros = {
         i: {sum(1 << 2 * x for j, x in last if j != i): 1} for i, _ in last if i in low
     }
     counts: dict[int, int] = {}
-    for k in range(len(order) - 2, -1, -1):
+    for k in range(len(layout) - 2, -1, -1):
         # in reverse, step k closes what the forward step opened, and back
-        opened, new = layout[k][1], closes[k]
-        closing = tuple(x for _, x in opened)
-        step_mask, table = _step_table(closing, tuple((x, None) for _, x in new))
-        for i, _x in opened:
-            if i in zeros:
+        new, opened = layout[k]
+        step_mask, table = _pair_table(opened, new, {})
+        for i, t_e in list(zeros.items()):
+            zeros[i] = t_e = frontier_step(t_e, step_mask, table)
+            generated = _spend(generated, t_e, node_budget)
+            if low[i] == k:
                 # the zero closes here: the table's zero rule makes the step
-                t_e = frontier_step(zeros.pop(i), step_mask, table)
-                generated = _spend(generated, t_e, node_budget)
+                del zeros[i]
                 total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
                 counts[i] = _halve(total, f"the flow count at edge {i}")
-        for i in zeros:
-            zeros[i] = frontier_step(zeros[i], step_mask, table)
-            generated = _spend(generated, zeros[i], node_budget)
         for i, _x in new:
             if i in low:
                 # the zero opens here, as a pin 0 on e
-                pinned = tuple((x, 0 if j == i else None) for j, x in new)
-                zeros[i] = frontier_step(plain, *_step_table(closing, pinned))
+                zeros[i] = frontier_step(plain, *_pair_table(opened, new, {i: 0}))
                 generated = _spend(generated, zeros[i], node_budget)
         plain = frontier_step(plain, step_mask, table)
         generated = _spend(generated, plain, node_budget)

@@ -11,7 +11,8 @@ Both frontier DPs, the coloring kernel (coloring.py) and the 2-factor
 fold, pack a state into one int, a field per frontier_layout slot, and
 advance it with frontier_step: every move is an XOR delta listed under
 the fields of the slots a step closes, which clears them, sets the
-opened ones and rewrites any other field the move changes.
+opened ones and rewrites any other field the move changes; both read
+each slot's edge off frontier_layout's (edge, slot) pairs.
 
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
@@ -498,17 +499,18 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
     return order
 
 
-Layout = tuple[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...], int]
+Pairs = tuple[tuple[int, int], ...]  # a step's (edge, slot) pairs
+Layout = tuple[tuple[tuple[Pairs, Pairs], ...], int]
 
 
 def frontier_layout(g: Graph) -> Layout:
     """(steps, width): the slots every frontier DP keeps its frontier edges
     in, derived once per graph value from frontier_order(g) and stored on
     it as ``_frontier_layout``.  Step k places the k-th vertex of the
-    order and is (closing, opening): the slots of the edges back to placed
-    vertices, which it frees, in incidence order, and the (edge, slot)
-    pairs of the edges it opens, each taking the last freed slot or else a
-    new one.  ``width`` counts the slots."""
+    order and is (closing, opening), the (edge, slot) pairs, in incidence
+    order, of the edges back to placed vertices, whose slots it frees, and
+    of the edges it opens, each taking the last freed slot or else a new
+    one: the one record of each slot's edge.  ``width`` counts the slots."""
     layout = getattr(g, "_frontier_layout", None)
     if layout is None:
         placed = [False] * g.n
@@ -517,12 +519,12 @@ def frontier_layout(g: Graph) -> Layout:
         steps = []
         for v in frontier_order(g):
             placed[v] = True
-            closing: list[int] = []
+            closing: list[tuple[int, int]] = []
             opening: list[tuple[int, int]] = []
             for i in g.incident_edges(v):
                 a, b = g.edges[i]
                 if placed[a] and placed[b]:
-                    closing.append(slot[i])
+                    closing.append((i, slot[i]))
                     free.append(slot.pop(i))
                 else:
                     slot[i] = free.pop() if free else len(slot) + len(free)
@@ -602,6 +604,7 @@ def two_factor_fold(
     states = {0: 1}
     for step, (closing, opening) in enumerate(steps):
         last = step == g.n - 1
+        closed = [x for _, x in closing]
         # the ways to take 1 or 2 of the opened edges into the factor: each
         # takes every marked one, so each adds the same mark count
         free = [(i, x) for i, x in opening if i not in banned]
@@ -614,7 +617,7 @@ def two_factor_fold(
 
         def build(key: int) -> list[int]:
             # each new field is head | mate << k, shifted to its slot
-            ins = [x for x in closing if key >> span * x & 1]
+            ins = [x for x in closed if key >> span * x & 1]
             if not ins:
                 head = 1 | gain << 1
                 return [
@@ -646,7 +649,7 @@ def two_factor_fold(
                 ]
             return []
 
-        mask = sum(ones << span * x for x in closing)
+        mask = sum(ones << span * x for x in closed)
         states = frontier_step(states, mask, {}, build)
         if not states:
             return 0

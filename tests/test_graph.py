@@ -322,9 +322,9 @@ def with_order(g: Graph, order) -> Graph:
 
 def layout_from_scratch(g: Graph, order) -> tuple:
     """graph.frontier_layout's rule, by vertex positions: the k-th vertex
-    closes the slots of its edges to earlier vertices, in incidence order,
-    and each of its other edges takes the last slot freed so far or else a
-    new one."""
+    closes its edges to earlier vertices, in incidence order, freeing their
+    slots, and each of its other edges takes the last slot freed so far or
+    else a new one; both kinds are listed as (edge, slot) pairs."""
     pos = {v: k for k, v in enumerate(order)}
     slot_of: dict[int, int] = {}
     free: list[int] = []
@@ -335,7 +335,7 @@ def layout_from_scratch(g: Graph, order) -> tuple:
         for i in g.incident_edges(v):
             a, b = g.edges[i]
             if pos[a + b - v] < k:
-                closing.append(slot_of[i])
+                closing.append((i, slot_of[i]))
                 free.append(slot_of[i])
             else:
                 slot_of[i] = free.pop() if free else top

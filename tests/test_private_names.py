@@ -10,8 +10,11 @@ ast so that no other module reads or writes graph.py's stored order,
 layout, coloring, forest, labels or smoothing check, isomorphism.py's
 stored orbits or coloring.py's stored steps, no other module names
 graph._invariants, so the refined coloring stays the one vertex
-invariant, analyze.py imports no private name from coloring, and in
-construct.py only _splice deletes vertices."""
+invariant, analyze.py imports no private name from coloring, in
+construct.py only _splice deletes vertices, and in coloring.py only
+_decomposition_fixing and EdgeColoring.is_proper read incident_edges, so
+every kernel takes its slots from graph.frontier_layout's (edge, slot)
+pairs and none re-derives them."""
 
 import ast
 from pathlib import Path
@@ -66,3 +69,27 @@ def test_only_the_splice_deletes_vertices_in_construct():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "delete_vertices"
     }
     assert callers == {"_splice"}
+
+
+
+def test_only_the_pivot_and_the_properness_check_read_incidences_in_coloring():
+    # a kernel reads which edge sits in which slot off graph.frontier_layout
+    tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
+
+    def reads(node: ast.AST) -> int:
+        return sum(
+            isinstance(n, ast.Attribute) and n.attr == "incident_edges" for n in ast.walk(node)
+        )
+
+    scopes = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    scopes.update(
+        (f"{top.name}.{item.name}", item)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for item in top.body
+        if isinstance(item, ast.FunctionDef)
+    )
+    readers = {name for name, scope in scopes.items() if reads(scope)}
+    assert readers == {"_decomposition_fixing", "EdgeColoring.is_proper"}
+    # and no read outside a function or method
+    assert reads(tree) == sum(reads(scopes[name]) for name in readers)
