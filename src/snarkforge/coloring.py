@@ -16,8 +16,9 @@ no smoothing, and the reverse fold also counts the host's colorings.
 The order is searched once per graph value, and a smoothed graph
 inherits its host's order (graph.contract_removed_edge); the frontier
 edges keep the slots of graph.frontier_layout, derived once per order,
-which names the edge in every slot, so no kernel here derives a slot
-from incident_edges; the placement steps are stored once per graph
+which names the edge in every slot and stores each step's slot tuples, so
+no kernel here derives a slot from incident_edges or a slot tuple from
+the pairs; the placement steps are stored once per graph
 value, pins patched in per count.  A step reads one table, cached per
 step, from the colors key of the slots it closes to the XOR deltas
 key ^ add, one per packing add of colors onto the edges it opens, so
@@ -42,7 +43,7 @@ from .errors import BudgetExceededError, CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
     Graph,
-    Pairs,
+    Slots,
     _smoothable,
     contract_removed_edge,
     frontier_layout,
@@ -149,20 +150,22 @@ def _vertex_colorings(closes: int, pins: tuple[Optional[int], ...]) -> tuple[tup
 
 @cache
 def _step_table(
-    closing: tuple[int, ...], opening: tuple[tuple[int, Optional[int]], ...]
+    closing: Slots, opening: Slots, pins: Optional[tuple[Optional[int], ...]] = None
 ) -> tuple[int, _Table]:
     """(mask, table) for a step that closes the ``closing`` slots and opens
-    the ``opening`` ones, given as (slot, pin or None) pairs: ``mask``
-    covers the closing slots' two color bits each, and table[key] holds
-    key ^ add for every packing add of colors onto the opening slots that
-    the vertex allows after the closing colors key = s & mask, which
-    frontier_step turns into s ^ key ^ add.  It shifts the shape's
-    _vertex_colorings onto the slots; a delta starts from the key, as an
-    opening slot may be one the step closes.  Keys without a move are left
-    out.  Built once and shared, so callers only read it."""
+    the ``opening`` ones, each pinned by ``pins`` (None or a color per
+    opening slot; no pins when None): ``mask`` covers the closing slots'
+    two color bits each, and table[key] holds key ^ add for every packing
+    add of colors onto the opening slots that the vertex allows after the
+    closing colors key = s & mask, which frontier_step turns into
+    s ^ key ^ add.  It shifts the shape's _vertex_colorings onto the
+    slots; a delta starts from the key, as an opening slot may be one the
+    step closes.  Keys without a move are left out.  Built once and
+    shared, so callers only read it.  The slot tuples are read off
+    graph.frontier_layout's steps, which store them."""
     mask = sum(3 << 2 * x for x in closing)
-    opens, moves = _vertex_colorings(len(closing), tuple(pin for _, pin in opening))
-    slots = [2 * x for x, _ in opening]
+    opens, moves = _vertex_colorings(len(closing), pins or (None,) * len(opening))
+    slots = [2 * x for x in opening]
     adds = [sum([c << x for c, x in zip(new, slots)]) for new in opens]
     shifts = [2 * x for x in closing]
     table: _Table = {}
@@ -172,21 +175,14 @@ def _step_table(
     return mask, table
 
 
-def _pair_table(closing: Pairs, opening: Pairs, pins: dict[int, int]) -> tuple[int, _Table]:
-    """The _step_table of a step that closes and opens these (edge, slot)
-    pairs of graph.frontier_layout, an opening edge in ``pins`` pinned."""
-    slots = tuple([x for _, x in closing])
-    return _step_table(slots, tuple([(x, pins.get(i)) for i, x in opening]))
-
-
 def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequence[_Step]:
     """The vertex placements every kernel walks, in graph.frontier_order.
 
     A partial coloring is the colors on the frontier edges (one endpoint
     placed), packed two bits per graph.frontier_layout slot into an int.
     Each step is (opening, mask, table): the layout's (edge, slot) pairs
-    of the edges the vertex opens, and the _pair_table of its closing and
-    opening pairs with the pins in ``fixed``.
+    of the edges the vertex opens, and the _step_table of its closing and
+    opening slots with the pins in ``fixed``.
 
     The unpinned steps are derived once per graph value and stored on it
     as ``_placement``, with the edge -> step map that gives the step
@@ -196,8 +192,9 @@ def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequen
     layout = frontier_layout(g)[0]
     stored = getattr(g, "_placement", None)
     if stored is None:
-        steps = tuple([(step[1], *_pair_table(*step, {})) for step in layout])
-        opener = {i: k for k, (_closing, opening) in enumerate(layout) for i, _ in opening}
+        steps = tuple([(opening, *_step_table(closes, opens))
+                       for _closing, opening, closes, opens in layout])
+        opener = {i: k for k, step in enumerate(layout) for i, _ in step[1]}
         stored = steps, opener
         object.__setattr__(g, "_placement", stored)
     steps, opener = stored
@@ -205,7 +202,9 @@ def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequen
         return steps
     pinned = list(steps)
     for k in {opener[i] for i in fixed}:
-        pinned[k] = (layout[k][1], *_pair_table(*layout[k], fixed))
+        _closing, opening, closes, opens = layout[k]
+        pins = tuple([fixed.get(i) for i, _ in opening])
+        pinned[k] = (opening, *_step_table(closes, opens, pins))
     return pinned
 
 
@@ -445,8 +444,8 @@ def _psi_pass(
     checked, and the host's edge-3-coloring count: the plain reverse fold
     runs on to vertex 0, where it holds twice the host's decomposition
     count (the pinned last vertex weighs 2), and the host has 6 colorings
-    per decomposition.  The slots are graph.frontier_layout's pairs, a
-    reverse step swapping a forward step's closing and opening ones, and
+    per decomposition.  The slots are graph.frontier_layout's, a reverse
+    step swapping a forward step's closing and opening slot tuples, and
     one loop steps each zero map, settling it at the step opening its edge.
     ``node_budget`` caps the states both passes generate."""
     layout, width = frontier_layout(g)
@@ -474,8 +473,8 @@ def _psi_pass(
     counts: dict[int, int] = {}
     for k in range(len(layout) - 2, -1, -1):
         # in reverse, step k closes what the forward step opened, and back
-        new, opened = layout[k]
-        step_mask, table = _pair_table(opened, new, {})
+        closing, _opening, closes, opens = layout[k]
+        step_mask, table = _step_table(opens, closes)
         for i, t_e in list(zeros.items()):
             zeros[i] = t_e = frontier_step(t_e, step_mask, table)
             generated = _spend(generated, t_e, node_budget)
@@ -484,10 +483,11 @@ def _psi_pass(
                 del zeros[i]
                 total = _relabelled_sum(t_e, forward[k - 1], mask) if k else t_e.get(0, 0)
                 counts[i] = _halve(total, f"the flow count at edge {i}")
-        for i, _x in new:
+        for i, _x in closing:
             if i in low:
                 # the zero opens here, as a pin 0 on e
-                zeros[i] = frontier_step(plain, *_pair_table(opened, new, {i: 0}))
+                pins = tuple([0 if j == i else None for j, _ in closing])
+                zeros[i] = frontier_step(plain, *_step_table(opens, closes, pins))
                 generated = _spend(generated, zeros[i], node_budget)
         plain = frontier_step(plain, step_mask, table)
         generated = _spend(generated, plain, node_budget)

@@ -4,15 +4,18 @@ girth, cycle listing, one spanning forest per graph value and what is
 read from it (components, the smoothing check, the cycle-space edge
 labels and cyclic edge connectivity), the refined vertex coloring, the
 vertex order every frontier DP places vertices in, and the frontier DP over
-2-factors that gives the even-cover sum (covers.py), the orthogonality
-count (kempe.py) and the Hamiltonian cycle count.
+2-factors: folded breadth-first, it gives the even-cover sum (covers.py),
+the orthogonality count (kempe.py) and the Hamiltonian cycle count, and
+walked depth-first, it decides Hamiltonicity at its first cycle.
 
 Both frontier DPs, the coloring kernel (coloring.py) and the 2-factor
-fold, pack a state into one int, a field per frontier_layout slot, and
-advance it with frontier_step: every move is an XOR delta listed under
-the fields of the slots a step closes, which clears them, sets the
-opened ones and rewrites any other field the move changes; both read
-each slot's edge off frontier_layout's (edge, slot) pairs.
+DP, pack a state into one int, a field per frontier_layout slot, and
+advance it with frontier_step (or, in the walk, one state at a time):
+every move is an XOR delta listed under the fields of the slots a step
+closes, which clears them, sets the opened ones and rewrites any other
+field the move changes; both read each slot's edge off frontier_layout's
+(edge, slot) pairs, and each step's slots off the tuples stored beside
+them.
 
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
@@ -500,17 +503,20 @@ def frontier_order(g: Graph) -> tuple[int, ...]:
 
 
 Pairs = tuple[tuple[int, int], ...]  # a step's (edge, slot) pairs
-Layout = tuple[tuple[tuple[Pairs, Pairs], ...], int]
+Slots = tuple[int, ...]  # the same step's slots alone
+Layout = tuple[tuple[tuple[Pairs, Pairs, Slots, Slots], ...], int]
 
 
 def frontier_layout(g: Graph) -> Layout:
     """(steps, width): the slots every frontier DP keeps its frontier edges
     in, derived once per graph value from frontier_order(g) and stored on
     it as ``_frontier_layout``.  Step k places the k-th vertex of the
-    order and is (closing, opening), the (edge, slot) pairs, in incidence
-    order, of the edges back to placed vertices, whose slots it frees, and
-    of the edges it opens, each taking the last freed slot or else a new
-    one: the one record of each slot's edge.  ``width`` counts the slots."""
+    order and is (closing, opening, closes, opens): the (edge, slot)
+    pairs, in incidence order, of the edges back to placed vertices,
+    whose slots it frees, and of the edges it opens, each taking the last
+    freed slot or else a new one, the one record of each slot's edge;
+    then the slots of each, so that no DP step derives them again.
+    ``width`` counts the slots."""
     layout = getattr(g, "_frontier_layout", None)
     if layout is None:
         placed = [False] * g.n
@@ -529,7 +535,10 @@ def frontier_layout(g: Graph) -> Layout:
                 else:
                     slot[i] = free.pop() if free else len(slot) + len(free)
                     opening.append((i, slot[i]))
-            steps.append((tuple(closing), tuple(opening)))
+            steps.append((
+                tuple(closing), tuple(opening),
+                tuple([x for _, x in closing]), tuple([x for _, x in opening]),
+            ))
         layout = (tuple(steps), len(free))
         object.__setattr__(g, "_frontier_layout", layout)
     return layout
@@ -557,54 +566,47 @@ def frontier_step(
     return nxt
 
 
-def two_factor_fold(
+def _two_factor_steps(
     g: Graph,
     close: Callable[[int, bool, int], int],
     banned: Collection[int] = (),
     marked: Collection[int] = (),
-) -> int:
-    """Sum, over the 2-factors of g that avoid the ``banned`` edges and
-    contain the ``marked`` ones, of the product of the weights ``close``
-    gives their cycles, without listing the factors.
+) -> Iterator[tuple[int, Callable[[int], list[int]]]]:
+    """Each step's (mask, build) of the 2-factor DP, in frontier_order(g):
+    ``mask`` covers the fields of the slots the step closes, and
+    build(key) lists the XOR deltas of the states whose closing fields are
+    ``key``.  two_factor_fold folds them breadth-first and is_hamiltonian
+    walks them depth-first; this is the one place that builds a delta.
 
-    Frontier DP over 2-factors (the mate-and-parity technique of Knuth's
-    SIMPATH, TAOCP 7.1.4, as generalised by Kawahara, Inoue, Iwashita and
-    Minato, IEICE Trans. Fundamentals 2017).  The vertices are placed in
-    frontier_order(g), and each frontier edge, an edge with exactly one
-    placed end, keeps its frontier_layout slot.  A state packs one field
-    per slot into an int: 0 when the edge is outside the factor, or else
-    ``1 | tail << 1 | mate << k``, where ``mate`` is the slot of the
-    frontier edge at the other end of its open path, ``tail`` is
-    ``2 * marks + parity``, the marked edges on that path and its edge
-    count mod 2, and ``k`` leaves room for the largest tail that
-    ``len(marked)`` allows; both ends of a path carry its tail.  Each
-    state maps to the summed weight of the partial factors reaching it.
-    A placed vertex takes exactly two factor edges, never a banned one,
-    and every marked edge it opens: with no factor edge coming in it opens
-    a path of two edges, with one it extends that path, and with two it
-    joins their paths or, when the two are mates, closes a cycle, whose
-    weight ``close(parity, last, marks)`` reads from its length mod 2,
-    whether the vertex is the last of the order, and its marked edges.
-    That weight is a small non-negative multiplicity (every rule in the
-    package returns 0, 1 or 2), 0 forbidding the cycle.
+    A state packs one field per frontier_layout slot into an int: 0 when
+    the edge is outside the factor, or else ``1 | tail << 1 | mate << k``,
+    where ``mate`` is the slot of the frontier edge at the other end of
+    its open path, ``tail`` is ``2 * marks + parity``, the marked edges on
+    that path and its edge count mod 2, and ``k`` leaves room for the
+    largest tail that ``len(marked)`` allows; both ends of a path carry
+    its tail.  A placed vertex takes exactly two factor edges, never a
+    banned one, and every marked edge it opens: with no factor edge coming
+    in it opens a path of two edges, with one it extends that path, and
+    with two it joins their paths or, when the two are mates, closes a
+    cycle, which ``close(parity, last, marks)`` weighs from its length mod
+    2, whether the vertex is the last of the order, and its marked edges.
 
-    frontier_step builds each step's deltas once per value of its closing
-    fields.  A delta clears those fields (it starts from the key), sets
-    the opened ones and rewrites the far end of each path extended or
-    joined: that end's old field holds the path's tail and the closing
-    slot as its mate, so the key alone gives it.  A closed cycle's delta
-    is the key alone, listed ``close(...)`` times.
-    """
+    A delta clears the closing fields (it starts from the key), sets the
+    opened ones and rewrites the far end of each path extended or joined:
+    that end's old field holds the path's tail and the closing slot as its
+    mate, so the key alone gives it.  A closed cycle's delta is the key
+    alone, listed ``close(...)`` times.  Each step's set-up runs once per
+    call, in a function of its own, so a build keeps its step's values
+    however far the caller runs ahead (is_hamiltonian lists every step
+    before it walks)."""
     steps, width = frontier_layout(g)
     k = 1 + (2 * len(marked) + 1).bit_length()
     low = (1 << k) - 1
     tails = low >> 1
     span = k + max(1, (width - 1).bit_length())  # bits per slot
     ones = (1 << span) - 1
-    states = {0: 1}
-    for step, (closing, opening) in enumerate(steps):
-        last = step == g.n - 1
-        closed = [x for _, x in closing]
+
+    def moves(closed: Slots, opening: Pairs, last: bool) -> tuple[int, Callable]:
         # the ways to take 1 or 2 of the opened edges into the factor: each
         # takes every marked one, so each adds the same mark count
         free = [(i, x) for i, x in opening if i not in banned]
@@ -649,23 +651,94 @@ def two_factor_fold(
                 ]
             return []
 
-        mask = sum(ones << span * x for x in closed)
+        return sum(ones << span * x for x in closed), build
+
+    for step, (_closing, opening, closed, _opens) in enumerate(steps):
+        yield moves(closed, opening, step == g.n - 1)
+
+
+def two_factor_fold(
+    g: Graph,
+    close: Callable[[int, bool, int], int],
+    banned: Collection[int] = (),
+    marked: Collection[int] = (),
+) -> int:
+    """Sum, over the 2-factors of g that avoid the ``banned`` edges and
+    contain the ``marked`` ones, of the product of the weights ``close``
+    gives their cycles, without listing the factors.
+
+    Frontier DP over 2-factors (the mate-and-parity technique of Knuth's
+    SIMPATH, TAOCP 7.1.4, as generalised by Kawahara, Inoue, Iwashita and
+    Minato, IEICE Trans. Fundamentals 2017).  The vertices are placed in
+    frontier_order(g), and each frontier edge, an edge with exactly one
+    placed end, keeps its frontier_layout slot; _two_factor_steps packs
+    the partial factors' open paths into states and lists each step's
+    moves.  The fold maps each state to the summed weight of the partial
+    factors reaching it, a step at a time.  A cycle's weight
+    ``close(parity, last, marks)`` reads its length mod 2, whether it
+    closes at the last vertex of the order, and its marked edges; it is a
+    small non-negative multiplicity (every rule in the package returns 0,
+    1 or 2), 0 forbidding the cycle.  frontier_step builds each step's
+    deltas once per value of its closing fields.
+    """
+    states = {0: 1}
+    for mask, build in _two_factor_steps(g, close, banned, marked):
         states = frontier_step(states, mask, {}, build)
         if not states:
             return 0
     return states.get(0, 0)
 
 
+def _closes_at_last(_parity: int, last: bool, _marks: int) -> int:
+    """The Hamiltonian closing rule: a cycle closes only at the last
+    vertex of the order, so a 2-factor that closes one has one cycle,
+    through every vertex."""
+    return 1 if last else 0
+
+
 def hamiltonian_cycle_count(g: Graph) -> int:
-    """Number of Hamiltonian cycles of g: the 2-factor fold with a cycle
-    allowed to close only at the last vertex of the order, so a counted
-    2-factor has one cycle, through every vertex."""
-    return two_factor_fold(g, lambda _parity, last, _marks: 1 if last else 0)
+    """Number of Hamiltonian cycles of g: the 2-factor fold under the
+    Hamiltonian closing rule."""
+    return two_factor_fold(g, _closes_at_last)
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """True iff some cycle visits every vertex exactly once."""
-    return g.n >= 3 and hamiltonian_cycle_count(g) > 0
+    """True iff some cycle visits every vertex exactly once.
+
+    A depth-first walk of the 2-factor fold's steps under the Hamiltonian
+    closing rule, which stops at its first cycle: an explicit stack of
+    (step, state) pairs, each expanded by the same deltas the fold takes,
+    built once per closing key.  A state pushed at a step is recorded
+    there and never pushed again, so no pair is expanded twice, a closing
+    delta listed more than once is taken once, and a graph without a
+    Hamiltonian cycle costs at most the fold's states.  The walk answers
+    True at the first state 0 after the last step.  Its tables and
+    records are freed on return."""
+    if g.n < 3:
+        return False
+    steps = list(_two_factor_steps(g, _closes_at_last))
+    last = len(steps) - 1
+    tables: list[dict] = [{} for _ in steps]
+    seen: list[set[int]] = [set() for _ in steps]  # states pushed at each step
+    stack = [(0, 0)]
+    while stack:
+        k, s = stack.pop()
+        mask, build = steps[k]
+        key = s & mask
+        deltas = tables[k].get(key)
+        if deltas is None:
+            deltas = tables[k][key] = build(key)
+        if k == last:
+            if any(s ^ d == 0 for d in deltas):
+                return True
+            continue
+        pushed = seen[k + 1]
+        for d in deltas:
+            t = s ^ d
+            if t not in pushed:
+                pushed.add(t)
+                stack.append((k + 1, t))
+    return False
 
 
 # -- the spanning forest and cyclic edge connectivity -----------------

@@ -97,7 +97,8 @@ class TestStepTable:
         shapes = list(step_shapes())
         assert ((0,), ((0, None), (7, None))) in shapes  # a reused slot
         for closing, opening in shapes:
-            mask, table = _step_table(closing, opening)
+            slots, pins = tuple(x for x, _ in opening), tuple(pin for _, pin in opening)
+            mask, table = _step_table(closing, slots, pins)
             want_mask, want = step_table_by_products(closing, opening)
             assert mask == want_mask
             assert list(table.items()) == list(want.items()), (closing, opening)
@@ -111,7 +112,7 @@ class TestPlacementSteps:
         stored = [(opening, mask, dict(table)) for opening, mask, table in steps]
         # two pins, on edges that steps k1 and k2 open
         layout = frontier_layout(g)[0]
-        openers = [k for k, (_closing, opening) in enumerate(layout) if opening]
+        openers = [k for k, step in enumerate(layout) if step[1]]
         k1, k2 = openers[len(openers) // 2], openers[-1]
         pins = {layout[k1][1][0][0]: 1, layout[k2][1][-1][0]: 2}
         want = sum(all(c[i] == x for i, x in pins.items()) for c in naive_colorings(g))

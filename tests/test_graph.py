@@ -53,7 +53,9 @@ from snarkforge.graph import (
     univalent_vertices,
     valence_profile,
 )
+from snarkforge import graph as graph_module
 from snarkforge.construct import flower
+from snarkforge.isomorphism import edge_orbits
 from snarkforge.ledger import superpose_chain_family
 from snarkforge.recipe import evaluate_text
 
@@ -290,6 +292,9 @@ class TestHamiltonian:
         assert is_hamiltonian(c5)
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert not is_hamiltonian(path)
+        # two triangles at one vertex, placed last: two paths end there
+        bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+        assert not is_hamiltonian(with_order(bowtie, (1, 2, 3, 4, 0)))
 
     def test_against_oracle(self, W, J5, prism):
         for g in [W, prism, J5]:
@@ -312,6 +317,80 @@ class TestHamiltonian:
     def test_matches_backtracking(self, g):
         assert is_hamiltonian(g) == hamiltonian_by_backtracking(g)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        cubic_graphs(16),
+        st.lists(st.tuples(st.sampled_from(range(4, 11, 2)), seeds), min_size=2, max_size=3)
+        .map(random_cubic_union),
+    ))
+    def test_walk_agrees_with_the_count(self, g):
+        # a disconnected union has 2-factors but never a Hamiltonian cycle
+        assert is_hamiltonian(g) == (hamiltonian_cycle_count(g) > 0)
+
+    def test_walk_agrees_with_the_count_on_the_families(self):
+        # each host is a snark, so not Hamiltonian; most reductions are
+        hosts = [flower(n) for n in range(5, 14, 2)]
+        hosts += [evaluate_text(r) for r in superpose_chain_family(3)]
+        answers = set()
+        for g in hosts:
+            assert not is_hamiltonian(g) and hamiltonian_cycle_count(g) == 0
+            for orbit in edge_orbits(g):
+                h = contract_removed_edge(g, orbit[0])[0]
+                ham = is_hamiltonian(h)
+                assert ham == (hamiltonian_cycle_count(h) > 0)
+                answers.add(ham)
+        assert answers == {True, False}
+
+    def test_walk_builds_less_and_expands_each_pair_once(self, monkeypatch):
+        # spy on the steps both routes take: count build calls, and record
+        # each (step, state) pair whose closing key is read, raising on a
+        # pair read twice
+        builds = [0]
+        expanded: set[tuple[int, int]] = set()
+
+        class Mask(int):
+            step = 0
+
+            def __rand__(self, s: int) -> int:
+                pair = (self.step, s)
+                assert pair not in expanded, f"step {self.step} expands state {s} twice"
+                expanded.add(pair)
+                return s & int(self)
+
+        real = graph_module._two_factor_steps
+
+        def spied(*args):
+            for k, (mask, build) in enumerate(real(*args)):
+                mask = Mask(mask)
+                mask.step = k
+
+                def counted(key: int, build=build) -> list[int]:
+                    builds[0] += 1
+                    return build(key)
+
+                yield mask, counted
+
+        monkeypatch.setattr(graph_module, "_two_factor_steps", spied)
+        g = flower(9)
+        for orbit in edge_orbits(g):
+            h = contract_removed_edge(g, orbit[0])[0]
+            builds[0] = 0
+            expanded.clear()
+            assert is_hamiltonian(h)
+            walk, builds[0] = builds[0], 0
+            expanded.clear()
+            assert hamiltonian_cycle_count(h) > 0
+            assert 0 < walk < builds[0]
+        # without a Hamiltonian cycle the walk expands exactly the fold's
+        # pairs, each once
+        for g in (flower(13), evaluate_text(list(superpose_chain_family(3))[-1])):
+            expanded.clear()
+            assert not is_hamiltonian(g)
+            walk = set(expanded)
+            expanded.clear()
+            assert hamiltonian_cycle_count(g) == 0
+            assert walk == expanded
+
 
 def with_order(g: Graph, order) -> Graph:
     """An equal graph value that the frontier DPs walk in ``order``."""
@@ -324,7 +403,8 @@ def layout_from_scratch(g: Graph, order) -> tuple:
     """graph.frontier_layout's rule, by vertex positions: the k-th vertex
     closes its edges to earlier vertices, in incidence order, freeing their
     slots, and each of its other edges takes the last slot freed so far or
-    else a new one; both kinds are listed as (edge, slot) pairs."""
+    else a new one; both kinds are listed as (edge, slot) pairs, then as
+    their slots alone."""
     pos = {v: k for k, v in enumerate(order)}
     slot_of: dict[int, int] = {}
     free: list[int] = []
@@ -341,7 +421,10 @@ def layout_from_scratch(g: Graph, order) -> tuple:
                 slot_of[i] = free.pop() if free else top
                 top = max(top, slot_of[i] + 1)
                 opening.append((i, slot_of[i]))
-        steps.append((tuple(closing), tuple(opening)))
+        steps.append((
+            tuple(closing), tuple(opening),
+            tuple(x for _, x in closing), tuple(x for _, x in opening),
+        ))
     return tuple(steps), top
 
 

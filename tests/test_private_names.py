@@ -14,7 +14,9 @@ invariant, analyze.py imports no private name from coloring, in
 construct.py only _splice deletes vertices, and in coloring.py only
 _decomposition_fixing and EdgeColoring.is_proper read incident_edges, so
 every kernel takes its slots from graph.frontier_layout's (edge, slot)
-pairs and none re-derives them."""
+pairs and none re-derives them, and in graph.py only _two_factor_steps
+calls combinations, so one function makes the 2-factor deltas that both
+two_factor_fold and is_hamiltonian take."""
 
 import ast
 from pathlib import Path
@@ -93,3 +95,20 @@ def test_only_the_pivot_and_the_properness_check_read_incidences_in_coloring():
     assert readers == {"_decomposition_fixing", "EdgeColoring.is_proper"}
     # and no read outside a function or method
     assert reads(tree) == sum(reads(scopes[name]) for name in readers)
+
+
+def test_only_two_factor_steps_builds_deltas_in_graph():
+    # the breadth-first fold and the depth-first walk share its moves
+    tree = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+
+    def calls(node: ast.AST) -> int:
+        return sum(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "combinations"
+            for n in ast.walk(node)
+        )
+
+    scopes = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert {name for name, scope in scopes.items() if calls(scope)} == {"_two_factor_steps"}
+    # and no call outside it, in a class or at module level
+    assert calls(tree) == calls(scopes["_two_factor_steps"])

@@ -11,14 +11,15 @@ Each row is (edge-orbit representative e of the host, then, on the graph
 G_e with e removed and smoothed and its inserted edges d1 and d2:
 even_cover_sum(d1, d2), hamiltonian_cycle_count, cocyclic_factor_count at
 (d1, d2) and at (d1, the next edge index), and the color_pair_counts cells
-(1, 1) and (1, 2) at (d1, d2)).
+(1, 1) and (1, 2) at (d1, d2)).  Beside each count, is_hamiltonian must
+answer whether it is positive.
 """
 
 import pytest
 
 from snarkforge.construct import flower
 from snarkforge.covers import even_cover_sum
-from snarkforge.graph import contract_removed_edge, hamiltonian_cycle_count
+from snarkforge.graph import contract_removed_edge, hamiltonian_cycle_count, is_hamiltonian
 from snarkforge.isomorphism import edge_orbits
 from snarkforge.kempe import cocyclic_factor_count, color_pair_counts
 from snarkforge.ledger import superpose_chain_family
@@ -88,10 +89,13 @@ def test_wide_frontier_values(host, pinned):
     for orbit in edge_orbits(g):
         h, d1, d2 = contract_removed_edge(g, orbit[0])
         cells = color_pair_counts(h, d1, d2)
+        count = hamiltonian_cycle_count(h)
+        # the depth-first walk decides what the fold counts
+        assert is_hamiltonian(h) == (count > 0)
         rows.append((
             orbit[0],
             even_cover_sum(h, d1, d2),
-            hamiltonian_cycle_count(h),
+            count,
             cocyclic_factor_count(h, d1, d2),
             cocyclic_factor_count(h, d1, (d1.index + 1) % h.m),
             cells[(1, 1)],
