@@ -12,7 +12,9 @@ keeping for each coloring of the edges crossing the cut how many partial
 colorings reach it; explicit colorings come from walking the same steps
 depth-first.  psi at many edges of one host (psi_counts) folds the same
 steps once forward and once in reverse over the host's Klein flows, with
-no smoothing, and the reverse fold also counts the host's colorings.
+no smoothing, and the reverse fold also counts the host's colorings;
+psi_with_counts recounts one edge forward on the host's own steps, with
+graph.smoothed_layout's changes at the few steps smoothing touches.
 The order is searched once per graph value, and a smoothed graph
 inherits its host's order (graph.contract_removed_edge); the frontier
 edges keep the slots of graph.frontier_layout, derived once per order,
@@ -45,13 +47,13 @@ from .graph import (
     Graph,
     Slots,
     _smoothable,
-    contract_removed_edge,
     frontier_layout,
     frontier_order,
     frontier_step,
     is_quasi_cubic,
     pendant_edges,
     resolve_edge,
+    smoothed_layout,
 )
 from .klein import COLORS, color_name, group_add, parse_color
 from .value import Value, set_field
@@ -213,15 +215,19 @@ def _count_frontier(
     fixed: Optional[dict[int, int]] = None,
     node_budget: Optional[int] = None,
 ) -> int:
-    """Number of proper total colorings extending ``fixed``.
+    """Number of proper total colorings extending ``fixed``: the fold of
+    the placement steps."""
+    return _fold((step[1:] for step in _placement_steps(g, fixed)), node_budget)
 
-    Folds the placement steps breadth-first, mapping each frontier state
+
+def _fold(steps: Iterable[tuple[int, _Table]], node_budget: Optional[int]) -> int:
+    """Folds (mask, table) steps breadth-first, mapping each frontier state
     to how many partial colorings reach it: a step drops states whose
     closing colors clash and extends the rest.  ``node_budget`` caps the
     number of states generated."""
     states = {0: 1}
     generated = 0
-    for _opening, mask, table in _placement_steps(g, fixed):
+    for mask, table in steps:
         states = frontier_step(states, mask, table)
         generated = _spend(generated, states, node_budget)
         if not states:
@@ -380,11 +386,37 @@ def psi_from_count(ned: int) -> int:
 def psi_with_counts(
     g: Graph, e: EdgeLike, node_budget: Optional[int] = None
 ) -> tuple[int, int, int]:
-    """(psi, |ED| of reduced graph, |EC| of reduced graph), counted on the
-    reduced graph itself, a route sharing no state with psi_counts' pass;
-    |EC| comes from |ED| via the 6x correspondence."""
-    ned = count_decompositions(contract_removed_edge(g, e)[0], node_budget=node_budget)
+    """(psi, |ED| of G_e, |EC| of G_e), where G_e is g with e = (u, v)
+    removed and u and v smoothed away, |EC| comes from |ED| via the 6x
+    correspondence, and the DomainErrors are those of smoothing e and
+    counting G_e (graph._smoothable).
+
+    |ED| is count_decompositions' fold of G_e, run on g's stored steps
+    without building G_e (graph.smoothed_layout): u's and v's steps are
+    skipped, every other step is g's own, and the four outer neighbours'
+    steps and the pivot's, the first vertex of the order that is not u or
+    v, read their tables from _step_table.  Each step generates the states
+    G_e's own fold does, so ``node_budget`` truncates where it would.  The
+    recount shares with psi_counts' pass only the order, the layout and
+    the read-only tables: it folds proper colorings forward, with no zero
+    color, no reverse fold, no relabelled sum and no halving."""
+    i = next(_smoothable(g, [e]))
+    ned = _fold(_smoothed_steps(g, i), node_budget)
     return psi_from_count(ned), ned, 6 * ned
+
+
+def _smoothed_steps(g: Graph, i: int) -> list[tuple[int, _Table]]:
+    """The (mask, table) steps of G_e's pinned fold, from g's placement
+    steps and graph.smoothed_layout's changes to them; the pivot pins
+    colors 1, 2, 3 on its three edges, all of them opening."""
+    skipped, changed = smoothed_layout(g, i)
+    pivot = min({0, 1, 2} - set(skipped))
+    layout = frontier_layout(g)[0]
+    steps = [step[1:] for step in _placement_steps(g)]
+    for k in {pivot, *changed}:
+        closes, opens = changed.get(k) or layout[k][2:]
+        steps[k] = _step_table(closes, opens, COLORS if k == pivot else None)
+    return [step for k, step in enumerate(steps) if k not in skipped]
 
 
 def psi(g: Graph, e: EdgeLike) -> int:
@@ -405,7 +437,7 @@ def psi_counts(g: Graph, edges: Iterable[EdgeLike]) -> dict[int, int]:
     ends smoothed away) at every given edge e, keyed by edge index in the
     order given: what psi_with_counts counts one edge at a time, from one
     forward and one reverse pass over the host, with the DomainErrors of
-    that smoothed route at the first edge where it would raise.
+    smoothing at the first edge where smoothing would raise.
 
     Tait's correspondence (klein.py): giving e the group's zero and both
     edges at each end of e the color of the edge that smooths that end

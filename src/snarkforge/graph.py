@@ -544,6 +544,34 @@ def frontier_layout(g: Graph) -> Layout:
     return layout
 
 
+def smoothed_layout(g: Graph, i: int) -> tuple[tuple[int, int], dict[int, tuple[Slots, Slots]]]:
+    """The frontier steps of G_e, g with edge i = (u, v) removed and u and
+    v smoothed away, as changes to frontier_layout(g), in the order
+    contract_removed_edge hands G_e: g's frontier_order without u and v.
+    Returns (skipped, changed): the layout positions of u and v, and the
+    (closes, opens) slots of the four outer neighbours, each with its
+    edge to u or v dropped and d1, which joins u's other neighbours, in
+    slot width, or d2, which joins v's, in slot width + 1, opening at the
+    earlier end and closing at the later.  Every other step places the
+    same edges in the same slots as in g: G_e's frontiers are g's without
+    the edges at u and v, plus d1 and d2.  The caller has checked the
+    smoothing's preconditions (_smoothable)."""
+    layout, width = frontier_layout(g)
+    order = frontier_order(g)
+    pair = u, v = g.edges[i]
+    gone = set(g._incidence[u] + g._incidence[v])
+    changed: dict[int, tuple[Slots, Slots]] = {}
+    for end, slot in ((u, width), (v, width + 1)):
+        first, last = sorted([order.index(w) for w in g._neighbors[end] if w not in pair])
+        for k in (first, last):
+            closing, opening = layout[k][:2]
+            closes = [x for j, x in closing if j not in gone]
+            opens = [x for j, x in opening if j not in gone]
+            (opens if k == first else closes).append(slot)
+            changed[k] = tuple(closes), tuple(opens)
+    return (order.index(u), order.index(v)), changed
+
+
 def frontier_step(
     states: dict[int, int], mask: int, table: dict, build: Optional[Callable] = None
 ) -> dict[int, int]:

@@ -177,8 +177,11 @@ class Ledger:
         Each recipe is built and encoded once per Ledger, so its graph's
         frontier order is searched once however many records it has; the
         graph6 comparison and the psi recount still run for every record.
-        The recount smooths the record's edge and counts (psi_with_counts),
-        a route independent of the search's two-way pass."""
+        The recount (psi_with_counts) folds the record's smoothed graph
+        forward on the rebuilt host's stored steps, without building the
+        smoothed graph.  It shares with the search's two-way pass only the
+        frontier order, the layout and the read-only step tables, not the
+        pass's zero states, reverse fold, relabelled sums or halvings."""
         if rec.recipe not in self._witnesses:
             g = evaluate_text(rec.recipe)
             self._witnesses[rec.recipe] = g, encode_graph6(g)

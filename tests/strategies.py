@@ -113,6 +113,18 @@ def generalized_petersen(n: int, s: int) -> Graph:
     return Graph.from_edges(2 * n, pairs)
 
 
+def subdivided_k33(offset: int) -> list[tuple[int, int]]:
+    """K3,3 on offset..offset+5 with its edge (offset, offset+3) subdivided
+    by offset+6, the one 2-valent vertex."""
+    pairs = [(offset + a, offset + 3 + b) for a in range(3) for b in range(3) if a or b]
+    return pairs + [(offset, offset + 6), (offset + 6, offset + 3)]
+
+
+# two subdivided K3,3s joined at their 2-valent vertices: cubic, girth 4,
+# and (6, 13) is a bridge
+BRIDGED = Graph.from_edges(14, subdivided_k33(0) + subdivided_k33(7) + [(6, 13)])
+
+
 # builders of edge-transitive or nearly edge-transitive cubic graphs, by
 # name; GP(5,2) is the Petersen graph
 SYMMETRIC_CUBIC = {

@@ -150,7 +150,7 @@ class TestTheorem45:
         # reads its 15 psis from one pass, with no smoothing
         calls = Counter()
         count_calls(monkeypatch, analyze, "psi_counts", calls)
-        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        count_calls(monkeypatch, analyze, "contract_removed_edge", calls)
         for p in list_pentagons(P):
             assert verify_thm_4_5(P, p).passed
         assert calls == {"psi_counts": 12}
@@ -183,7 +183,7 @@ class TestTheorem48:
         # the joined graph, and each factor, give all their psis in one pass
         calls = Counter()
         count_calls(monkeypatch, analyze, "psi_counts", calls)
-        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        count_calls(monkeypatch, analyze, "contract_removed_edge", calls)
         assert verify_thm_4_8(J5, list_pentagons(J5)[0], P, list_pentagons(P)[0]).passed
         assert calls == {"psi_counts": 3}
 
@@ -211,7 +211,7 @@ class TestTheorem53:
         calls = Counter()
         count_calls(monkeypatch, analyze, "psi_counts", calls)
         count_calls(monkeypatch, coloring, "_psi_pass", calls)
-        count_calls(monkeypatch, coloring, "contract_removed_edge", calls)
+        count_calls(monkeypatch, analyze, "contract_removed_edge", calls)
         assert verify_thm_5_3(P, 0, J5, 0, 6).passed
         assert calls == {"psi_counts": 2, "_psi_pass": 3}
 

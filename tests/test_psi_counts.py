@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import smoothable_by_search, smoothed_decomposition_count
-from strategies import girth4_cubic, moebius_ladder, prism_graph
+from strategies import BRIDGED, girth4_cubic, moebius_ladder, prism_graph
 from snarkforge import analyze, coloring, graph, ledger
 from snarkforge.analyze import certify_snark
 from snarkforge.coloring import (
@@ -91,14 +91,6 @@ def test_random_girth4_cubic_graphs(g, seed):
     assert psi_counts(g, subset) == {i: expected[i] for i in subset}
 
 
-def subdivided_k33(offset: int) -> list[tuple[int, int]]:
-    """K3,3 on offset..offset+5 with its edge (offset, offset+3) subdivided
-    by offset+6, the one 2-valent vertex."""
-    pairs = [(offset + a, offset + 3 + b) for a in range(3) for b in range(3) if a or b]
-    return pairs + [(offset, offset + 6), (offset + 6, offset + 3)]
-
-
-BRIDGED = Graph.from_edges(14, subdivided_k33(0) + subdivided_k33(7) + [(6, 13)])
 K33 = Graph.from_edges(6, [(a, 3 + b) for a in range(3) for b in range(3)])
 
 
@@ -228,8 +220,8 @@ def test_budget_boundary_on_the_j3_chain():
 
 def records_one_edge_at_a_time(text: str) -> list:
     """evaluate_recipe_records' answers as the single-edge route gives
-    them: one smoothed count per orbit representative, stopping at the
-    first representative psi rejects."""
+    them: one psi_with_counts recount per orbit representative, stopping
+    at the first representative psi rejects."""
     g = evaluate_text(text)
     out = []
     for orbit in edge_orbits(g):
@@ -280,7 +272,7 @@ def test_chain_search_makes_one_pass_and_no_smoothing(monkeypatch):
         return real_smoothing(*args, **kwargs)
 
     monkeypatch.setattr(ledger, "_psi_pass", counting_pass)
-    for module in (graph, coloring, analyze):
+    for module in (graph, analyze):
         monkeypatch.setattr(module, "contract_removed_edge", counting_smoothing)
     entries = list(search([list(superpose_chain_family(3))[-1]]))
     assert len(entries) == 39 and all(isinstance(e, PsiRecord) for e in entries)
