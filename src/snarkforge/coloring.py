@@ -7,14 +7,16 @@ graph.frontier_order, the order of the 2-factor DP behind the cover sum
 and the Hamiltonian count too, and each placement closes the edges back
 to placed vertices and extends the new ones over the colors (or pins)
 that do not clash, in the style of Sekine-Imai-Tani frontier counting.
-Counts (colorings, decompositions, psi) fold those steps breadth-first,
-keeping for each coloring of the edges crossing the cut how many partial
-colorings reach it; explicit colorings come from walking the same steps
-depth-first.  psi at many edges of one host (psi_counts) folds the same
-steps once forward and once in reverse over the host's Klein flows, with
-no smoothing, and the reverse fold also counts the host's colorings;
-psi_with_counts recounts one edge forward on the host's own steps, with
-graph.smoothed_layout's changes at the few steps smoothing touches.
+Counts (colorings, decompositions, psi) fold those steps breadth-first
+with graph.frontier_fold, keeping for each coloring of the edges crossing
+the cut how many partial colorings reach it; explicit colorings come from
+walking the same steps depth-first.  psi at many edges of one host
+(psi_counts) folds the same steps once forward and once in reverse over
+the host's Klein flows, with no smoothing, and the reverse fold also
+counts the host's colorings; psi_with_counts recounts one edge forward on
+the host's own steps, with graph.smoothed_layout's changes at the few
+steps smoothing touches.  Only that pass and that recount take a node
+budget, counted by graph._spend.
 The order is searched once per graph value, and a smoothed graph
 inherits its host's order (graph.contract_removed_edge); the frontier
 edges keep the slots of graph.frontier_layout, derived once per order,
@@ -41,12 +43,14 @@ from functools import cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, CountContradictionError, DomainError
+from .errors import CountContradictionError, DomainError
 from .graph import (
     EdgeLike,
     Graph,
     Slots,
     _smoothable,
+    _spend,
+    frontier_fold,
     frontier_layout,
     frontier_order,
     frontier_step,
@@ -126,7 +130,7 @@ def _check_decomposable(g: Graph):
 
 
 _Table = dict[int, tuple[int, ...]]
-_Step = tuple[tuple[tuple[int, int], ...], int, _Table]
+_Step = tuple[int, _Table]
 
 
 @cache
@@ -182,9 +186,8 @@ def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequen
 
     A partial coloring is the colors on the frontier edges (one endpoint
     placed), packed two bits per graph.frontier_layout slot into an int.
-    Each step is (opening, mask, table): the layout's (edge, slot) pairs
-    of the edges the vertex opens, and the _step_table of its closing and
-    opening slots with the pins in ``fixed``.
+    Each step is (mask, table), the _step_table of the layout step's
+    closing and opening slots with the pins in ``fixed``.
 
     The unpinned steps are derived once per graph value and stored on it
     as ``_placement``, with the edge -> step map that gives the step
@@ -194,8 +197,7 @@ def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequen
     layout = frontier_layout(g)[0]
     stored = getattr(g, "_placement", None)
     if stored is None:
-        steps = tuple([(opening, *_step_table(closes, opens))
-                       for _closing, opening, closes, opens in layout])
+        steps = tuple([_step_table(closes, opens) for *_pairs, closes, opens in layout])
         opener = {i: k for k, step in enumerate(layout) for i, _ in step[1]}
         stored = steps, opener
         object.__setattr__(g, "_placement", stored)
@@ -206,59 +208,35 @@ def _placement_steps(g: Graph, fixed: Optional[dict[int, int]] = None) -> Sequen
     for k in {opener[i] for i in fixed}:
         _closing, opening, closes, opens = layout[k]
         pins = tuple([fixed.get(i) for i, _ in opening])
-        pinned[k] = (opening, *_step_table(closes, opens, pins))
+        pinned[k] = _step_table(closes, opens, pins)
     return pinned
 
 
-def _count_frontier(
-    g: Graph,
-    fixed: Optional[dict[int, int]] = None,
-    node_budget: Optional[int] = None,
-) -> int:
-    """Number of proper total colorings extending ``fixed``: the fold of
-    the placement steps."""
-    return _fold((step[1:] for step in _placement_steps(g, fixed)), node_budget)
-
-
-def _fold(steps: Iterable[tuple[int, _Table]], node_budget: Optional[int]) -> int:
-    """Folds (mask, table) steps breadth-first, mapping each frontier state
-    to how many partial colorings reach it: a step drops states whose
-    closing colors clash and extends the rest.  ``node_budget`` caps the
-    number of states generated."""
-    states = {0: 1}
-    generated = 0
-    for mask, table in steps:
-        states = frontier_step(states, mask, table)
-        generated = _spend(generated, states, node_budget)
-        if not states:
-            return 0
-    return states.get(0, 0)
-
-
-def _spend(generated: int, states: dict, node_budget: Optional[int]) -> int:
-    """Add a step's states to the running total, raising past the budget."""
-    generated += len(states)
-    if node_budget is not None and generated > node_budget:
-        raise BudgetExceededError(f"coloring count exceeded {node_budget} DP states")
-    return generated
+def _count_frontier(g: Graph, fixed: Optional[dict[int, int]] = None) -> int:
+    """Number of proper total colorings extending ``fixed``: the
+    graph.frontier_fold of the placement steps, where a step drops the
+    states whose closing colors clash and extends the rest."""
+    return frontier_fold(_placement_steps(g, fixed))
 
 
 def _search_colorings(
     g: Graph, fixed: Optional[dict[int, int]] = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield every proper total coloring extending ``fixed``, as a tuple of
-    colors indexed by edge, by walking the placement steps depth-first."""
+    colors indexed by edge, by walking the placement steps depth-first and
+    reading each opened edge's color off its frontier_layout slot."""
     steps = _placement_steps(g, fixed)
+    layout = frontier_layout(g)[0]
     assign = [0] * g.m
 
     def walk(k: int, s: int) -> Iterator[tuple[int, ...]]:
         if k == len(steps):
             yield tuple(assign)
             return
-        opening, mask, table = steps[k]
+        mask, table = steps[k]
         for d in table.get(s & mask, ()):
             t = s ^ d
-            for i, x in opening:
+            for i, x in layout[k][1]:
                 assign[i] = t >> 2 * x & 3
             yield from walk(k + 1, t)
 
@@ -268,16 +246,16 @@ def _search_colorings(
 # -- public counting API -------------------------------------------------
 
 
-def count_colorings(g: Graph, node_budget: Optional[int] = None) -> int:
+def count_colorings(g: Graph) -> int:
     """Exact number of proper edge-3-colorings of a connected graph with
     maximum valence 3: with a trivalent vertex, six times the count pinned
     at count_decompositions' pivot, since each coloring is one of the six
-    color permutations of one pinned coloring; ``node_budget`` caps the
-    states of that pinned fold.  Paths and cycles take the plain fold."""
+    color permutations of one pinned coloring.  Paths and cycles take the
+    plain fold."""
     if 3 not in _check_colorable_shape(g):
-        return _count_frontier(g, node_budget=node_budget)
+        return _count_frontier(g)
     pins = _decomposition_fixing(g, frontier_order(g))
-    return 6 * _count_frontier(g, pins, node_budget)
+    return 6 * _count_frontier(g, pins)
 
 
 def enumerate_colorings(g: Graph) -> Iterator[EdgeColoring]:
@@ -298,7 +276,7 @@ def _decomposition_fixing(g: Graph, scan: Iterable[int]) -> dict[int, int]:
     return {e1: 1, e2: 2, e3: 3}
 
 
-def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
+def count_decompositions(g: Graph) -> int:
     """Number of partitions of the edge set into three classes with no two
     adjacent edges sharing a class.
 
@@ -311,7 +289,7 @@ def count_decompositions(g: Graph, node_budget: Optional[int] = None) -> int:
     """
     _check_decomposable(g)
     pins = _decomposition_fixing(g, frontier_order(g))
-    return _count_frontier(g, pins, node_budget)
+    return _count_frontier(g, pins)
 
 
 def count_same_class(g: Graph, edges: Iterable[EdgeLike]) -> int:
@@ -401,18 +379,18 @@ def psi_with_counts(
     the read-only tables: it folds proper colorings forward, with no zero
     color, no reverse fold, no relabelled sum and no halving."""
     i = next(_smoothable(g, [e]))
-    ned = _fold(_smoothed_steps(g, i), node_budget)
+    ned = frontier_fold(_smoothed_steps(g, i), node_budget)
     return psi_from_count(ned), ned, 6 * ned
 
 
-def _smoothed_steps(g: Graph, i: int) -> list[tuple[int, _Table]]:
+def _smoothed_steps(g: Graph, i: int) -> list[_Step]:
     """The (mask, table) steps of G_e's pinned fold, from g's placement
     steps and graph.smoothed_layout's changes to them; the pivot pins
     colors 1, 2, 3 on its three edges, all of them opening."""
     skipped, changed = smoothed_layout(g, i)
     pivot = min({0, 1, 2} - set(skipped))
     layout = frontier_layout(g)[0]
-    steps = [step[1:] for step in _placement_steps(g)]
+    steps = list(_placement_steps(g))
     for k in {pivot, *changed}:
         closes, opens = changed.get(k) or layout[k][2:]
         steps[k] = _step_table(closes, opens, COLORS if k == pivot else None)
@@ -491,8 +469,7 @@ def _psi_pass(
     forward: dict[int, dict[int, int]] = {}
     states = {0: 1}
     for k in range(max(keep, default=-1) + 1):
-        _opening, step_mask, table = steps[k]
-        states = frontier_step(states, step_mask, table)
+        states = frontier_step(states, *steps[k])
         generated = _spend(generated, states, node_budget)
         if k in keep:
             forward[k] = states

@@ -15,7 +15,8 @@ every move is an XOR delta listed under the fields of the slots a step
 closes, which clears them, sets the opened ones and rewrites any other
 field the move changes; both read each slot's edge off frontier_layout's
 (edge, slot) pairs, and each step's slots off the tuples stored beside
-them.
+them.  frontier_fold is the one breadth-first fold of either DP's steps,
+and its _spend counts the states it generates against a caller's budget.
 
 Vertices are dense ints 0..n-1.  Edges are unordered pairs stored as
 (u, v) with u < v, sorted lexicographically, so an edge index is stable
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import CyclicConnectivityUndefinedError, DomainError
+from .errors import BudgetExceededError, CyclicConnectivityUndefinedError, DomainError
 from .value import Value, set_field
 
 EdgePair = tuple[int, int]
@@ -594,6 +595,30 @@ def frontier_step(
     return nxt
 
 
+def frontier_fold(steps: Iterable[tuple], node_budget: Optional[int] = None) -> int:
+    """Folds either frontier DP's steps breadth-first, each (mask, table)
+    or (mask, table, build) as frontier_step takes it, mapping each state
+    to the summed weight of the partial solutions reaching it, and gives
+    the weight of state 0 after the last step.  ``node_budget`` caps the
+    number of states generated."""
+    states = {0: 1}
+    generated = 0
+    for step in steps:
+        states = frontier_step(states, *step)
+        generated = _spend(generated, states, node_budget)
+        if not states:
+            return 0
+    return states.get(0, 0)
+
+
+def _spend(generated: int, states: dict, node_budget: Optional[int]) -> int:
+    """Add a step's states to the running total, raising past the budget."""
+    generated += len(states)
+    if node_budget is not None and generated > node_budget:
+        raise BudgetExceededError(f"coloring count exceeded {node_budget} DP states")
+    return generated
+
+
 def _two_factor_steps(
     g: Graph,
     close: Callable[[int, bool, int], int],
@@ -706,15 +731,12 @@ def two_factor_fold(
     ``close(parity, last, marks)`` reads its length mod 2, whether it
     closes at the last vertex of the order, and its marked edges; it is a
     small non-negative multiplicity (every rule in the package returns 0,
-    1 or 2), 0 forbidding the cycle.  frontier_step builds each step's
-    deltas once per value of its closing fields.
+    1 or 2), 0 forbidding the cycle.  frontier_fold folds the steps, each
+    with a table of its own that frontier_step fills once per value of its
+    closing fields.
     """
-    states = {0: 1}
-    for mask, build in _two_factor_steps(g, close, banned, marked):
-        states = frontier_step(states, mask, {}, build)
-        if not states:
-            return 0
-    return states.get(0, 0)
+    steps = _two_factor_steps(g, close, banned, marked)
+    return frontier_fold((mask, {}, build) for mask, build in steps)
 
 
 def _closes_at_last(_parity: int, last: bool, _marks: int) -> int:

@@ -15,6 +15,7 @@ from snarkforge.graph import (
     Graph,
     contract_removed_edge,
     delete_edges,
+    frontier_fold,
     frontier_layout,
     list_pentagons,
 )
@@ -71,8 +72,10 @@ class TestCountColorings:
             count_colorings(two_edges)
 
     def test_node_budget(self, J5):
-        with pytest.raises(BudgetExceededError):
-            count_colorings(J5, node_budget=5)
+        # the budget lives on the fold, which no public count exposes
+        assert frontier_fold(_placement_steps(J5)) == count_colorings(J5) == 0
+        with pytest.raises(BudgetExceededError, match="exceeded 5 DP states"):
+            frontier_fold(_placement_steps(J5), node_budget=5)
 
 
 def step_shapes():
@@ -109,7 +112,7 @@ class TestPlacementSteps:
         g = generalized_petersen(7, 2)  # a fresh graph value, colorable
         steps = _placement_steps(g)
         assert _placement_steps(g) is steps
-        stored = [(opening, mask, dict(table)) for opening, mask, table in steps]
+        stored = [(mask, dict(table)) for mask, table in steps]
         # two pins, on edges that steps k1 and k2 open
         layout = frontier_layout(g)[0]
         openers = [k for k, step in enumerate(layout) if step[1]]
@@ -129,7 +132,7 @@ class TestPlacementSteps:
         # the stored steps are the same object, unmutated, and an unpinned
         # count and enumeration after the pinned ones still match the oracle
         assert _placement_steps(g) is steps
-        assert [(opening, mask, dict(table)) for opening, mask, table in steps] == stored
+        assert [(mask, dict(table)) for mask, table in steps] == stored
         assert _count_frontier(g) == count_ec_by_factorization(g) > 0
         assert len(list(enumerate_colorings(g))) == count_ec_by_factorization(g)
 

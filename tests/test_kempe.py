@@ -365,8 +365,8 @@ class TestColorPairCounts:
         i, j = spokes[0].index, spokes[2].index
         real = kempe._count_frontier
 
-        def faulty(g, fixed=None, node_budget=None):
-            return real(g, fixed, node_budget) + (fixed == {i: cell[0], j: cell[1]})
+        def faulty(g, fixed=None):
+            return real(g, fixed) + (fixed == {i: cell[0], j: cell[1]})
 
         monkeypatch.setattr(kempe, "_count_frontier", faulty)
         table = color_pair_counts(W, i, j)

@@ -14,9 +14,11 @@ invariant, analyze.py imports no private name from coloring, in
 construct.py only _splice deletes vertices, and in coloring.py only
 _decomposition_fixing and EdgeColoring.is_proper read incident_edges, so
 every kernel takes its slots from graph.frontier_layout's (edge, slot)
-pairs and none re-derives them, and in graph.py only _two_factor_steps
+pairs and none re-derives them, in graph.py only _two_factor_steps
 calls combinations, so one function makes the 2-factor deltas that both
-two_factor_fold and is_hamiltonian take."""
+two_factor_fold and is_hamiltonian take, and only graph.frontier_fold and
+coloring._psi_pass call frontier_step, with _spend defined in graph.py
+alone, so both DPs fold one way and count their states one way."""
 
 import ast
 from pathlib import Path
@@ -112,3 +114,29 @@ def test_only_two_factor_steps_builds_deltas_in_graph():
     assert {name for name, scope in scopes.items() if calls(scope)} == {"_two_factor_steps"}
     # and no call outside it, in a class or at module level
     assert calls(tree) == calls(scopes["_two_factor_steps"])
+
+
+def test_only_the_fold_and_the_psi_pass_step_the_frontier():
+    # one breadth-first fold for both DPs, and one count of their states
+    def calls(node: ast.AST) -> int:
+        return sum(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "frontier_step"
+            for n in ast.walk(node)
+        )
+
+    callers, spends, stray = set(), set(), 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+        callers |= {f"{path.stem}.{name}" for name, scope in scopes.items() if calls(scope)}
+        # and no call outside a module-level function
+        stray += calls(tree) - sum(map(calls, scopes.values()))
+        spends |= {
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_spend"
+        }
+    assert callers == {"graph.frontier_fold", "coloring._psi_pass"}
+    assert stray == 0
+    assert spends == {"graph.py"}

@@ -204,11 +204,15 @@ def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
 
 def test_budget_boundary_on_the_j3_chain():
     # the states a count and a pass generate are pinned exactly, so a
-    # change to the DP steps cannot move where a budget truncates
+    # change to the DP steps cannot move where a budget truncates; the
+    # count is count_decompositions' fold of the pinned placement steps
     chain = HOSTS["chain3"]
-    assert count_decompositions(chain, node_budget=6898) == 0  # a snark
+    steps = coloring._placement_steps(
+        chain, coloring._decomposition_fixing(chain, frontier_order(chain))
+    )
+    assert graph.frontier_fold(steps, 6898) == count_decompositions(chain) == 0  # a snark
     with pytest.raises(BudgetExceededError, match="exceeded 6897 DP states"):
-        count_decompositions(chain, node_budget=6897)
+        graph.frontier_fold(steps, 6897)
     reps = [orbit[0] for orbit in edge_orbits(chain)]
     assert len(reps) == 39
     # the pass's reverse fold runs on to vertex 0 for the host's coloring

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 
 from oracles import smoothed_decomposition_count
 from strategies import BRIDGED, girth4_cubic
-from snarkforge import coloring
+from snarkforge import coloring, graph
 from snarkforge.coloring import psi_with_counts
 from snarkforge.construct import flower, petersen
 from snarkforge.errors import BudgetExceededError, CountContradictionError, DomainError
@@ -29,17 +29,19 @@ HOSTS.update(
 
 
 def states_per_step(monkeypatch, count) -> list[int]:
-    """The states each step of the fold behind ``count()`` generates."""
+    """The states each step of the fold behind ``count()`` generates, never
+    none, so a fold that stops spending cannot match an empty trace."""
     seen: list[int] = []
-    real = coloring._spend
+    real = graph._spend
 
     def spend(generated, states, node_budget):
         seen.append(len(states))
         return real(generated, states, node_budget)
 
     with monkeypatch.context() as patched:
-        patched.setattr(coloring, "_spend", spend)
+        patched.setattr(graph, "_spend", spend)
         count()
+    assert seen
     return seen
 
 
@@ -86,13 +88,17 @@ def test_smoothing_preconditions_raise_as_the_smoothed_route_does(K4, prism):
 
 
 def test_budget_boundary_on_the_j3_chain():
-    # edge 30 is the chain's costliest orbit representative
+    # edge 30 is the chain's costliest orbit representative; the smoothed
+    # graph's count is count_decompositions' fold of its pinned steps
     chain = HOSTS["chain3"]
+    h = contract_removed_edge(chain, 30)[0]
+    pins = coloring._decomposition_fixing(h, graph.frontier_order(h))
+    steps = coloring._placement_steps(h, pins)
     assert psi_with_counts(chain, 30, node_budget=8942) == (24, 72, 432)
-    assert coloring.count_decompositions(contract_removed_edge(chain, 30)[0], 8942) == 72
+    assert graph.frontier_fold(steps, 8942) == coloring.count_decompositions(h) == 72
     for count in (
         lambda: psi_with_counts(chain, 30, node_budget=8941),
-        lambda: coloring.count_decompositions(contract_removed_edge(chain, 30)[0], 8941),
+        lambda: graph.frontier_fold(steps, 8941),
     ):
         with pytest.raises(BudgetExceededError, match="exceeded 8941 DP states"):
             count()
